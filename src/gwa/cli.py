@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import shlex
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -123,9 +126,15 @@ def _schedule_for(n: int, args) -> Schedule:
             d_max = int(env)
         except ValueError as exc:
             raise InputError(f"bad GWA_DMAX={env!r}") from exc
-    if getattr(args, "d_max", None):
+    if getattr(args, "d_max", None) is not None:
         d_max = args.d_max
-    start = getattr(args, "d_start", None) or max(4 * n, 12)
+    start = getattr(args, "d_start", None)
+    if start is None:
+        start = max(4 * n, 12)
+    if start < 0 or d_max < 0:
+        raise InputError(f"truncation bounds must be nonnegative (start {start}, cap {d_max})")
+    if start > d_max:
+        raise InputError(f"schedule start {start} exceeds the truncation cap {d_max}")
     window = 3 if getattr(args, "paranoid", False) else 2
     return Schedule(start=start, window=window, d_max=d_max)
 
@@ -435,11 +444,25 @@ def _emit(report: RunReport, args) -> None:
 
 
 def run_job(argv: list[str]) -> dict:
-    """Run one parsed job; used by --sweep workers."""
+    """Run one job and return its JSON report; package errors propagate."""
     parser = build_parser()
     args = parser.parse_args(argv)
     report = COMMANDS[args.command](args)
     return json.loads(report.to_json())
+
+
+#: Exit code and stderr label of each error class; main and --sweep share them.
+ERROR_CLASSES = (
+    (InputError, EXIT_INVALID_INPUT, "error"),
+    (HypothesisError, EXIT_HYPOTHESIS, "hypothesis violation"),
+    (StabilizationError, EXIT_STABILIZATION, "stabilization failure"),
+    (InternalConsistencyError, EXIT_DISAGREEMENT, "internal consistency failure"),
+)
+
+
+def _exit_class(exc: GWAError) -> tuple[int, str]:
+    return next(((code, label) for cls, code, label in ERROR_CLASSES if isinstance(exc, cls)),
+                (EXIT_DISAGREEMENT, "error"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -453,18 +476,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except HypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except StabilizationError as exc:
-        print(f"stabilization failure: {exc}", file=sys.stderr)
-        return EXIT_STABILIZATION
-    except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
+    except GWAError as exc:
+        code, label = _exit_class(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     report.elapsed_seconds = time.perf_counter() - started
     _emit(report, args)
     if report.agreement is False:
@@ -473,24 +488,61 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def sweep_job(line: str) -> dict:
+    """Run one line of a sweep file and return its record; never raises.
+
+    The record holds the job's argv (`job`), its `report` or its `error`,
+    its `exit_code` (the code `gwa` would exit with for that line alone) and
+    its `elapsed_seconds`.  A line that cannot be split or parsed is an
+    input error.
+    """
+    started = time.perf_counter()
+    record: dict = {"job": line}
+    try:
+        try:
+            argv = record["job"] = shlex.split(line)
+        except ValueError as exc:
+            raise InputError(f"cannot split the line: {exc}") from None
+        captured = io.StringIO()
+        with contextlib.redirect_stderr(captured), contextlib.redirect_stdout(captured):
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                lines = captured.getvalue().strip().splitlines()
+                raise InputError(lines[-1] if exc.code and lines
+                                 else "the line runs no job") from None
+        if not args.command:
+            raise InputError("the line names no command")
+        report = COMMANDS[args.command](args)
+    except GWAError as exc:
+        record["error"] = str(exc)
+        record["exit_code"] = _exit_class(exc)[0]
+    except Exception as exc:  # a bug in one job must not lose the others
+        traceback.print_exc()
+        record["error"] = f"{type(exc).__name__}: {exc}"
+        record["exit_code"] = EXIT_DISAGREEMENT
+    else:
+        report.elapsed_seconds = time.perf_counter() - started
+        record["report"] = json.loads(report.to_json())
+        record["exit_code"] = EXIT_DISAGREEMENT if report.agreement is False else EXIT_OK
+    record["elapsed_seconds"] = time.perf_counter() - started
+    return record
+
+
 def _run_sweep(path: str) -> int:
+    """Run the jobs of a sweep file concurrently, print one JSON record per
+    job in file order, and return the largest exit code among them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            jobs = [shlex.split(line) for line in fh if line.strip() and not line.startswith("#")]
+            lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     status = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor() as pool:
-        futures = {pool.submit(run_job, job): job for job in jobs}
-        for future in concurrent.futures.as_completed(futures):
-            job = futures[future]
-            try:
-                payload = future.result()
-                print(json.dumps({"job": job, "report": payload}))
-            except GWAError as exc:
-                print(json.dumps({"job": job, "error": str(exc)}))
-                status = EXIT_DISAGREEMENT
+        for record in pool.map(sweep_job, lines):
+            print(json.dumps(record), flush=True)
+            status = max(status, record["exit_code"])
     return status
 
 

@@ -270,31 +270,34 @@ def _coefficient_action(bim: CoefficientBimodule, left: GWAElement,
 
 def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
                 shift: int, spec: GWASpec):
-    """Add the block of p |-> g_poly * sigma^shift(p) between two k[h] copies."""
+    """Add the block of p |-> g_poly * sigma^shift(p) between two k[h] copies.
+
+    Column e is the image of h^e, g_poly * (h - shift*h0)^e, whose degree is
+    deg(g_poly) + e; each column is built from the previous one on plain
+    coefficient lists.
+    """
     if g_poly.is_zero():
         return
-    h0 = spec.sigma.h0
-    cur = g_poly
+    top = g_poly.degree + dom_space.degree_bound
+    if top > cod_space.degree_bound:
+        raise InternalConsistencyError(
+            f"image degree {top} overflows codomain bound {cod_space.degree_bound}"
+        )
+    c = shift * spec.sigma.h0
+    dom_copies, cod_copies = dom_space.copies, cod_space.copies
+    cur = list(g_poly.coeffs)
     for e in range(dom_space.degree_bound + 1):
-        if e:
-            # cur = g_poly * (h - shift*h0)^e, built incrementally.
-            shifted = [Fraction(0)] + list(cur.coeffs)
-            if shift:
-                c = shift * h0
-                cur = Poly([shifted[i] - (c * cur.coeffs[i] if i < len(cur.coeffs) else 0)
-                            for i in range(len(shifted))])
-            else:
-                cur = Poly(shifted)
-        if cur.degree > cod_space.degree_bound:
-            raise InternalConsistencyError(
-                f"image degree {cur.degree} overflows codomain bound "
-                f"{cod_space.degree_bound}"
-            )
-        col = dom_space.index(e, copy_dom)
-        for deg, c in enumerate(cur.coeffs):
-            if c:
-                rows[cod_space.index(deg, copy_cod)][col] += c
-    return
+        if e and c:
+            # Multiply by (h - c): new[i] = cur[i-1] - c * cur[i].
+            cur = [-c * cur[0]] + [a - c * b for a, b in zip(cur, cur[1:])] + [cur[-1]]
+        col = e * dom_copies + copy_dom
+        # Without a shift, column e is g_poly moved up by e degrees.
+        for deg, v in enumerate(cur, 0 if c else e):
+            if v:
+                # Storing v into an empty cell skips an exact 0 + v addition.
+                row = rows[deg * cod_copies + copy_cod]
+                cell = row[col]
+                row[col] = cell + v if cell else v
 
 
 def _element_weight(u: GWAElement) -> int:
@@ -378,14 +381,17 @@ class WeightZeroChain:
 def build_differentials(spec: GWASpec, kind: ComplexKind, p_max: int,
                         bound: int) -> WeightZeroChain:
     """Assemble all total differentials for degrees <= p_max and verify that
-    consecutive ones compose to zero exactly."""
+    consecutive ones compose to zero exactly.
+
+    Each degree is assembled once, at the larger bounds; the differentials
+    at `bound` are sliced from it (see `TruncatedMap.truncate`).
+    """
     if p_max > 8:
         raise InputError("p_max above 8 is not supported")
     margin = spec.n + 1
-    near = [assemble_total_matrix(spec, kind, p, bound, bound + margin)
-            for p in range(p_max + 1)]
     far = [assemble_total_matrix(spec, kind, p, bound + margin, bound + 2 * margin)
            for p in range(p_max + 1)]
+    near = [m.truncate(bound, bound + margin) for m in far]
     for p in range(p_max):
         if kind.variant == "homology":
             ok = compose_is_zero(far[p], near[p + 1])
@@ -409,18 +415,36 @@ def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
     of degree q (domain bound D, with margin on the codomain so kernels are
     genuine) and N is the differential into degree q assembled on a larger
     domain; the schedule raises D until the whole dimension vector repeats.
+
+    The truncations nest: in degree-major order the matrix at smaller bounds
+    is the top-left block of the matrix at larger ones.  So each degree is
+    assembled once, at the bounds that the schedule's next D needs, and
+    every matrix an evaluation uses is sliced from that assembly by
+    `TruncatedMap.truncate`, which checks exactly that the cut drops only
+    zeros.  A degree is assembled again only when a D outgrows it: a call
+    that stabilizes at its second D assembles each degree 0..p_max+1 once.
+    The d o d = 0 check runs once, on the matrices of the first D.
     """
     if schedule is None:
         schedule = Schedule.default(spec.n)
     margin = spec.n + 1
+    assembled: dict[int, TruncatedMap] = {}
     checked = False
+
+    def differential(q: int, b_dom: int, reach: int) -> TruncatedMap:
+        """The differential out of degree q at bounds (b_dom, b_dom + margin),
+        assembled at (reach + margin, reach + 2 * margin) if not yet covered."""
+        big = assembled.get(q)
+        if big is None or big.domain.degree_bound < b_dom:
+            big = assemble_total_matrix(spec, kind, q, reach + margin, reach + 2 * margin)
+            assembled[q] = big
+        return big.truncate(b_dom, b_dom + margin)
 
     def evaluate(d: int):
         nonlocal checked
-        outgoing = [assemble_total_matrix(spec, kind, q, d, d + margin)
-                    for q in range(p_max + 2)]
-        incoming = [assemble_total_matrix(spec, kind, q, d + margin, d + 2 * margin)
-                    for q in range(p_max + 2)]
+        reach = schedule.lookahead(d)
+        outgoing = [differential(q, d, reach) for q in range(p_max + 2)]
+        incoming = [differential(q, d + margin, reach) for q in range(p_max + 2)]
         if not checked:
             for q in range(p_max + 1):
                 if kind.variant == "homology":

@@ -19,9 +19,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
-from .errors import InputError, StabilizationError
+from .errors import InputError, InternalConsistencyError, StabilizationError
 from .poly import Poly, ShiftSigma, sigma_pow
 from .scalars import Cyclotomic, cyclotomic_coeffs, euler_phi
 
@@ -102,6 +103,33 @@ class TruncatedMap:
 
     def is_zero(self) -> bool:
         return all(not v for row in self.rows for v in row)
+
+    def truncate(self, b_dom: int, b_cod: int) -> "TruncatedMap":
+        """The same map between the spaces cut off at the smaller bounds.
+
+        Degree-major indexing makes this the top-left block of the matrix.
+        It is the map's matrix at those bounds only if every entry the cut
+        drops from a kept column is zero, which is checked exactly.  At
+        unchanged bounds the map itself is returned.
+        """
+        if not (0 <= b_dom <= self.domain.degree_bound
+                and 0 <= b_cod <= self.codomain.degree_bound):
+            raise InputError(
+                f"cannot truncate bounds ({self.domain.degree_bound}, "
+                f"{self.codomain.degree_bound}) to ({b_dom}, {b_cod})"
+            )
+        if (b_dom, b_cod) == (self.domain.degree_bound, self.codomain.degree_bound):
+            return self
+        dom = TruncatedSpace(self.domain.field_order, self.domain.copies, b_dom)
+        cod = TruncatedSpace(self.codomain.field_order, self.codomain.copies, b_cod)
+        ncols, nrows = dom.dim, cod.dim
+        for row in islice(self.rows, nrows, None):
+            if any(islice(row, ncols)):
+                raise InternalConsistencyError(
+                    f"truncating to ({b_dom}, {b_cod}) drops a nonzero entry "
+                    f"of a kept column"
+                )
+        return TruncatedMap(dom, cod, [row[:ncols] for row in self.rows[:nrows]])
 
     def rank(self) -> int:
         return rank_rows(self.rows, self.domain.dim, self.field_order)
@@ -409,6 +437,10 @@ class Schedule:
     @classmethod
     def default(cls, n: int, d_max: int | None = None) -> "Schedule":
         return cls(start=max(4 * n, 12), d_max=d_max if d_max is not None else 240)
+
+    def lookahead(self, d: int) -> int:
+        """The D evaluated after d, or d itself when the cap stops there."""
+        return d + self.step if d + self.step <= self.d_max else d
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InputError
+
 Rational = Fraction
 
 #: Largest root-of-unity order accepted by default; phi(m) growth makes
@@ -20,7 +22,7 @@ Rational = Fraction
 DEFAULT_ORDER_CAP = 64
 
 
-class ScalarFieldError(ValueError):
+class ScalarFieldError(InputError):
     """Incompatible or unsupported scalar fields (e.g. mixing zeta3 with zeta4)."""
 
 

@@ -10,9 +10,11 @@ from gwa.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    EXIT_STABILIZATION,
     RunReport,
     main,
     run_job,
+    sweep_job,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,6 +75,10 @@ def test_exit_codes(capsys):
     code, _, err = run_main(capsys, ["group", "--a", "h^2", "--h0", "1",
                                      "--classes", "order=2 omega=no"])
     assert code == EXIT_HYPOTHESIS
+    code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "1/0"])
+    assert code == EXIT_INVALID_INPUT and "error" in err
+    code, _, err = run_main(capsys, ["twisted", "--a", "h", "--twist-order", "1000"])
+    assert code == EXIT_INVALID_INPUT and "exceeds the configured cap" in err
 
 
 def test_disagreement_exit_code(capsys, monkeypatch):
@@ -141,6 +147,53 @@ def test_sweep(tmp_path, capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 2
     assert all("report" in entry for entry in lines)
+
+
+def test_sweep_keeps_every_job_and_exits_with_the_worst_class(tmp_path, capsys):
+    sweep = tmp_path / "jobs.txt"
+    sweep.write_text(
+        'hh --a h --h0 1 --formula-only\n'
+        'hh --bogus\n'
+        'hh --a 5 --h0 1\n'
+        'hh --a h --h0 1 --d-max 13\n'
+        'hh --a "h --h0 1\n'
+        'coh --a "h^2" --h0 1 --formula-only\n'
+    )
+    code, out, _ = run_main(capsys, ["--sweep", str(sweep)])
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["exit_code"] for r in records] == [
+        EXIT_OK, EXIT_INVALID_INPUT, EXIT_HYPOTHESIS, EXIT_STABILIZATION,
+        EXIT_INVALID_INPUT, EXIT_OK]
+    assert code == EXIT_STABILIZATION
+    assert ["report" in r for r in records] == [True, False, False, False, False, True]
+    assert "error" in records[1] and records[1]["job"] == ["hh", "--bogus"]
+    assert all(isinstance(r["elapsed_seconds"], float) for r in records)
+    assert records[0]["report"]["elapsed_seconds"] is not None
+
+
+def test_sweep_job_counts_disagreement_as_class_5(monkeypatch):
+    import gwa.cli as cli
+    from gwa.linalg import StabilizedDim
+
+    def bogus_oracle(spec, kind, p_max, schedule=None):
+        return [StabilizedDim(7, 12, ((12, 7),)) for _ in range(p_max + 1)]
+
+    monkeypatch.setattr(cli, "oracle_dims", bogus_oracle)
+    record = sweep_job("verify --a h --h0 1 --kind homology")
+    assert record["report"]["agreement"] is False
+    assert record["exit_code"] == EXIT_DISAGREEMENT
+
+
+@pytest.mark.parametrize("flags", [
+    ["--d-start", "40", "--d-max", "20"],
+    ["--d-max", "0"],
+    ["--d-max", "-1"],
+    ["--d-start", "-4"],
+])
+def test_bad_schedule_is_an_input_error(capsys, flags):
+    code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "1", *flags])
+    assert code == EXIT_INVALID_INPUT
+    assert "error:" in err and "stabilization" not in err
 
 
 def test_console_entry_point_runs():

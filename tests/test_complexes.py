@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from gwa.algebra import GWASpec, Torus
+import gwa.complexes
 from gwa.complexes import (
     COHOMOLOGY,
     HOMOLOGY,
     ComplexKind,
     _assemble_single_row,
+    assemble_total_matrix,
     bezout_d2_test,
     bezout_witness,
     build_differentials,
@@ -16,7 +18,8 @@ from gwa.complexes import (
     oracle_dims,
     row_homology_dims,
 )
-from gwa.errors import HypothesisError, InputError
+from gwa.errors import HypothesisError, InputError, InternalConsistencyError
+from gwa.formulas import hh_dims
 from gwa.linalg import Schedule, TruncatedMap, TruncatedSpace
 from gwa.poly import Poly, ShiftSigma, gcd_monic, sigma_pow
 from gwa.scalars import zeta
@@ -146,6 +149,83 @@ def test_d_compose_d_zero_all_kinds():
 def test_build_differentials_caps_degree():
     with pytest.raises(InputError):
         build_differentials(WEYL, HOMOLOGY, 9, 10)
+
+
+@pytest.mark.parametrize("w", [None, Fraction(-1), zeta(3), zeta(4), zeta(5)],
+                         ids=["Q", "w=-1", "zeta3", "zeta4", "zeta5"])
+def test_sliced_differentials_equal_fresh_assembly(suite, w):
+    """Every block the oracle slices from a larger assembly is the matrix a
+    fresh assembly at those bounds gives, in every degree shape."""
+    bound = 3
+    for variant in ("homology", "cohomology"):
+        kind = ComplexKind(variant, None if w is None else Torus(w))
+        for spec in suite:
+            m = spec.n + 1
+            for p in range(5):
+                big = assemble_total_matrix(spec, kind, p, bound + m + 1, bound + 2 * m + 2)
+                # The oracle's outgoing and incoming shapes, and the smallest.
+                for b_dom, b_cod in [(bound, bound + m), (bound + m, bound + 2 * m), (0, m)]:
+                    got = big.truncate(b_dom, b_cod)
+                    want = assemble_total_matrix(spec, kind, p, b_dom, b_cod)
+                    assert (got.domain, got.codomain) == (want.domain, want.codomain)
+                    assert got.rows == want.rows, (spec.a, variant, p, b_dom, b_cod)
+
+
+def test_slice_that_drops_a_nonzero_entry_raises():
+    m = assemble_total_matrix(CUBIC, HOMOLOGY, 1, 8, 12)
+    # The leading terms of a*p - sigma(a*p) cancel: d_1(h^8) has degree 10.
+    m.truncate(8, 10)
+    with pytest.raises(InternalConsistencyError):
+        m.truncate(8, 9)
+    with pytest.raises(InputError):
+        m.truncate(9, 12)
+
+
+def _count_assemblies(monkeypatch):
+    """Record (degree, b_dom, b_cod) of every assembly the oracle makes."""
+    calls = []
+    real = gwa.complexes.assemble_total_matrix
+
+    def spy(spec, kind, p, b_dom, b_cod):
+        calls.append((p, b_dom, b_cod))
+        return real(spec, kind, p, b_dom, b_cod)
+
+    monkeypatch.setattr(gwa.complexes, "assemble_total_matrix", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
+def test_oracle_assembles_each_degree_once(monkeypatch, kind):
+    calls = _count_assemblies(monkeypatch)
+    checks = []
+    real_check = gwa.complexes.compose_is_zero
+    monkeypatch.setattr(gwa.complexes, "compose_is_zero",
+                        lambda outer, inner: checks.append(1) or real_check(outer, inner))
+    p_max = 2
+    stabs = oracle_dims(CUBIC, kind, p_max)
+    assert [d for d, _ in stabs[0].history] == [12, 16]
+    assert sorted(p for p, _, _ in calls) == list(range(p_max + 2))
+    m = CUBIC.n + 1
+    assert {(b_dom, b_cod) for _, b_dom, b_cod in calls} == {(16 + m, 16 + 2 * m)}
+    assert len(checks) == p_max + 1  # d o d = 0, once per degree, at the first D only
+
+
+def test_oracle_reassembles_when_the_schedule_goes_on(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    p_max = 2
+    stabs = oracle_dims(CUBIC, HOMOLOGY, p_max, Schedule(start=12, window=3))
+    assert [d for d, _ in stabs[0].history] == [12, 16, 20]
+    assert dims(stabs) == hh_dims(CUBIC.a, CUBIC.sigma, p_max).dims
+    assert len(calls) == 2 * (p_max + 2)
+
+
+def test_build_differentials_assembles_each_degree_once(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    chain = build_differentials(SQFREE, HOMOLOGY, 3, 10)
+    assert sorted(p for p, _, _ in calls) == [0, 1, 2, 3]
+    m = SQFREE.n + 1
+    for p, near in enumerate(chain.differentials):
+        assert near.rows == assemble_total_matrix(SQFREE, HOMOLOGY, p, 10, 10 + m).rows
 
 
 def test_oracle_examples():
