@@ -7,7 +7,7 @@ points re-exported here mirror the module layout:
 
 - scalars / poly: exact rationals, cyclotomic numbers, k[h] with the shift
 - algebra: normal-form arithmetic in A(k[h], a, sigma) and its automorphisms
-- linalg: truncated spaces, fraction-free ranks/kernels, stabilization
+- linalg: truncated spaces, exact ranks and kernels, stabilization
 - complexes: the oracle (total complexes, rows, Bezout test, Euler homotopy)
 - formulas: the closed-form dimension tables and the duality flag
 - invariants: invariant subalgebras, simplicity, reflections, group counts
@@ -66,9 +66,7 @@ from .linalg import (
     StabilizedDim,
     TruncatedMap,
     TruncatedSpace,
-    codim_of_image,
     homology_dim_at,
-    operator_matrix,
 )
 from .poly import (
     Poly,

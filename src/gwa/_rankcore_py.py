@@ -1,10 +1,9 @@
-"""Pure-Python fraction-free elimination kernels.
+"""Fraction-free elimination kernels.
 
-`gwa._rankcore` is the compiled twin of this module; `gwa.linalg` picks
-whichever is importable at package import time.  Both implement Bareiss-style
-fraction-free row echelon over the integers and over the ring of integers of
+Bareiss-style row echelon over the integers and over the ring of integers of
 a quadratic cyclotomic field (enough for the twists by -1, zeta3, zeta4 and
-zeta6 that appear in practice).
+zeta6 that appear in practice).  `gwa.linalg` loads this module as
+`_kernels` and reports `IMPLEMENTATION` as its kernel implementation.
 
 Entries after stage r of the Bareiss sweep are r x r minors of the input, so
 every division below is exact; this is what keeps coefficient growth under
@@ -58,10 +57,6 @@ def echelon_int(rows, ncols):
         prev = piv
         r += 1
     return r, pivots, m[:r]
-
-
-def rank_int(rows, ncols):
-    return echelon_int(rows, ncols)[0]
 
 
 def _quad_mul(a0, a1, b0, b1, b, c):
@@ -133,7 +128,3 @@ def echelon_quad(rows, ncols, b, c):
         prev = piv
         r += 1
     return r, pivots, m[:r]
-
-
-def rank_quad(rows, ncols, b, c):
-    return echelon_quad(rows, ncols, b, c)[0]

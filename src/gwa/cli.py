@@ -17,7 +17,6 @@ import concurrent.futures
 import contextlib
 import io
 import json
-import os
 import shlex
 import sys
 import time
@@ -119,15 +118,9 @@ class RunReport:
 
 
 def _schedule_for(n: int, args) -> Schedule:
-    d_max = 240
-    env = os.environ.get("GWA_DMAX")
-    if env:
-        try:
-            d_max = int(env)
-        except ValueError as exc:
-            raise InputError(f"bad GWA_DMAX={env!r}") from exc
-    if getattr(args, "d_max", None) is not None:
-        d_max = args.d_max
+    d_max = getattr(args, "d_max", None)
+    if d_max is None:
+        d_max = 240
     start = getattr(args, "d_start", None)
     if start is None:
         start = max(4 * n, 12)
@@ -380,7 +373,7 @@ def _add_common(parser, need_poly=True):
         parser.add_argument("--h0", default="1", help="shift step, nonzero rational (default 1)")
     parser.add_argument("--p-max", type=int, default=5, help="largest degree reported")
     parser.add_argument("--d-start", type=int, default=None, help="truncation schedule start")
-    parser.add_argument("--d-max", type=int, default=None, help="truncation cap (also env GWA_DMAX)")
+    parser.add_argument("--d-max", type=int, default=None, help="truncation cap (default 240)")
     parser.add_argument("--paranoid", action="store_true",
                         help="require three equal consecutive values to stabilize")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -378,6 +378,24 @@ class WeightZeroChain:
     differentials: list  # differentials[p]: out of degree p, margin bounds
 
 
+def _check_d_squared(kind: ComplexKind, incoming: list, outgoing: list) -> None:
+    """Exact d o d = 0 between consecutive degrees.
+
+    `outgoing[q]` and `incoming[q]` are maps out of degree q, `incoming` on
+    the larger domain that `outgoing` lands in.  One check per consecutive
+    pair; the first nonzero product raises `InternalConsistencyError`.
+    """
+    for q in range(len(outgoing) - 1):
+        if kind.variant == "homology":
+            ok = compose_is_zero(incoming[q], outgoing[q + 1])
+        else:
+            ok = compose_is_zero(incoming[q + 1], outgoing[q])
+        if not ok:
+            raise InternalConsistencyError(
+                f"d o d != 0 at degree {q} ({kind.variant}, twist={kind.twist})"
+            )
+
+
 def build_differentials(spec: GWASpec, kind: ComplexKind, p_max: int,
                         bound: int) -> WeightZeroChain:
     """Assemble all total differentials for degrees <= p_max and verify that
@@ -392,15 +410,7 @@ def build_differentials(spec: GWASpec, kind: ComplexKind, p_max: int,
     far = [assemble_total_matrix(spec, kind, p, bound + margin, bound + 2 * margin)
            for p in range(p_max + 1)]
     near = [m.truncate(bound, bound + margin) for m in far]
-    for p in range(p_max):
-        if kind.variant == "homology":
-            ok = compose_is_zero(far[p], near[p + 1])
-        else:
-            ok = compose_is_zero(far[p + 1], near[p])
-        if not ok:
-            raise InternalConsistencyError(
-                f"d o d != 0 at degree {p} for {kind.variant} (twist={kind.twist})"
-            )
+    _check_d_squared(kind, far, near)
     return WeightZeroChain(spec, kind, p_max, bound,
                            [_space(kind, p, bound) for p in range(p_max + 1)],
                            near)
@@ -410,67 +420,87 @@ def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
                 schedule: Schedule | None = None) -> list[StabilizedDim]:
     """Stabilized (co)homology dimensions in degrees 0..p_max.
 
-    At each truncation bound D and degree q the reported value is
-    rank([K | N]) - rank(N) where K is a kernel basis of the differential out
-    of degree q (domain bound D, with margin on the codomain so kernels are
-    genuine) and N is the differential into degree q assembled on a larger
-    domain; the schedule raises D until the whole dimension vector repeats.
-
-    The truncations nest: in degree-major order the matrix at smaller bounds
-    is the top-left block of the matrix at larger ones.  So each degree is
-    assembled once, at the bounds that the schedule's next D needs, and
-    every matrix an evaluation uses is sliced from that assembly by
-    `TruncatedMap.truncate`, which checks exactly that the cut drops only
-    zeros.  A degree is assembled again only when a D outgrows it: a call
-    that stabilizes at its second D assembles each degree 0..p_max+1 once.
-    The d o d = 0 check runs once, on the matrices of the first D.
+    The complex is that of the total differentials out of degrees
+    0..p_max+1; see `_stabilized_homology` for how each D is evaluated.  A
+    call that stabilizes at its second D assembles each of these degrees
+    once.
     """
     if schedule is None:
         schedule = Schedule.default(spec.n)
-    margin = spec.n + 1
+    return _stabilized_homology(
+        kind,
+        lambda q, b_dom, b_cod: assemble_total_matrix(spec, kind, q, b_dom, b_cod),
+        p_max + 2, p_max + 1, schedule, spec.n + 1)
+
+
+def row_homology_dims(spec: GWASpec, kind: ComplexKind,
+                      schedule: Schedule | None = None):
+    """Stabilized row (E1-level) dimensions at the four wedge positions.
+
+    The complex is that of the row differentials out of wedge degrees
+    0..3, evaluated as in `oracle_dims` (see `_stabilized_homology`).
+
+    Positions follow the tensor-factor indexing of the row complexes: for the
+    homology variant position j is the Lambda^j spot; for cohomology the
+    functional at Hom(Lambda^k) is reported at position j = 3 - k, matching
+    the duality pairing that turns those functionals into wedge coefficients.
+    """
+    if schedule is None:
+        schedule = Schedule.default(spec.n)
+    dims = _stabilized_homology(
+        kind,
+        lambda k, b_dom, b_cod: _assemble_single_row(spec, kind, k, b_dom, b_cod),
+        4, 4, schedule, spec.n + 1)
+    return dims if kind.variant == "homology" else dims[::-1]
+
+
+def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
+                         schedule: Schedule, margin: int) -> list[StabilizedDim]:
+    """Stabilized (co)homology in degrees 0..reported-1 of the complex whose
+    map out of degree q < count is `assemble(q, b_dom, b_cod)`.
+
+    At each truncation bound D the value in degree q is `homology_dim_at`
+    of the map out of degree q (domain bound D, with margin on the codomain
+    so kernels are genuine) and the map into degree q on a larger domain:
+    the nullity of the first, less the rank of the second, plus the rank of
+    its rows above degree D.  The schedule raises D until the whole
+    dimension vector repeats.
+
+    The truncations nest: in degree-major order the matrix at smaller
+    bounds is the top-left block of the matrix at larger ones.  So each
+    degree is assembled once, at the bounds that the schedule's next D
+    needs, and every matrix an evaluation uses is sliced from that assembly
+    by `TruncatedMap.truncate`, which checks exactly that the cut drops only
+    zeros.  A degree is assembled again only when a D outgrows it.  The
+    d o d = 0 check, which `homology_dim_at` relies on, runs once, on the
+    maps of the first D.
+    """
     assembled: dict[int, TruncatedMap] = {}
     checked = False
 
-    def differential(q: int, b_dom: int, reach: int) -> TruncatedMap:
-        """The differential out of degree q at bounds (b_dom, b_dom + margin),
-        assembled at (reach + margin, reach + 2 * margin) if not yet covered."""
+    def sliced(q: int, b_dom: int, reach: int) -> TruncatedMap:
         big = assembled.get(q)
         if big is None or big.domain.degree_bound < b_dom:
-            big = assemble_total_matrix(spec, kind, q, reach + margin, reach + 2 * margin)
+            big = assemble(q, reach + margin, reach + 2 * margin)
             assembled[q] = big
         return big.truncate(b_dom, b_dom + margin)
 
     def evaluate(d: int):
         nonlocal checked
         reach = schedule.lookahead(d)
-        outgoing = [differential(q, d, reach) for q in range(p_max + 2)]
-        incoming = [differential(q, d + margin, reach) for q in range(p_max + 2)]
+        outgoing = [sliced(q, d, reach) for q in range(count)]
+        incoming = [sliced(q, d + margin, reach) for q in range(count)]
         if not checked:
-            for q in range(p_max + 1):
-                if kind.variant == "homology":
-                    ok = compose_is_zero(incoming[q], outgoing[q + 1])
-                else:
-                    ok = compose_is_zero(incoming[q + 1], outgoing[q])
-                if not ok:
-                    raise InternalConsistencyError(
-                        f"d o d != 0 at degree {q} ({kind.variant}, twist={kind.twist})"
-                    )
+            _check_d_squared(kind, incoming, outgoing)
             checked = True
         dims = []
-        for q in range(p_max + 1):
-            if kind.variant == "homology":
-                dims.append(homology_dim_at(outgoing[q], incoming[q + 1]))
-            else:
-                if q == 0:
-                    cod = _space(kind, 0, d + 2 * margin)
-                    boundary = TruncatedMap(
-                        TruncatedSpace(kind.field_order, 0, 0),
-                        cod,
-                        [[] for _ in range(cod.dim)],
-                    )
-                else:
-                    boundary = incoming[q - 1]
-                dims.append(homology_dim_at(outgoing[q], boundary))
+        for q in range(reported):
+            # Boundaries into degree q come out of degree q+1 in homology
+            # and q-1 in cohomology; past either end there are none.
+            source = q + 1 if kind.variant == "homology" else q - 1
+            boundary = (incoming[source] if 0 <= source < count
+                        else _empty_into(outgoing[q].domain))
+            dims.append(homology_dim_at(outgoing[q], boundary))
         return tuple(dims)
 
     values, at, history = stabilize(evaluate, schedule)
@@ -480,57 +510,15 @@ def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
     ]
 
 
-def row_homology_dims(spec: GWASpec, kind: ComplexKind,
-                      schedule: Schedule | None = None):
-    """Stabilized row (E1-level) dimensions at the four wedge positions.
-
-    Positions follow the tensor-factor indexing of the row complexes: for the
-    homology variant position j is the Lambda^j spot; for cohomology the
-    functional at Hom(Lambda^k) is reported at position j = 3 - k, matching
-    the duality pairing that turns those functionals into wedge coefficients.
-    """
-    if schedule is None:
-        schedule = Schedule.default(spec.n)
-    margin = spec.n + 1
-
-    def single(k: int, b_dom: int, b_cod: int) -> TruncatedMap:
-        return _assemble_single_row(spec, kind, k, b_dom, b_cod)
-
-    def evaluate(d: int):
-        dims = []
-        for k in range(4):
-            outgoing = single(k, d, d + margin)
-            if kind.variant == "homology":
-                if k < 3:
-                    incoming = single(k + 1, d + margin, d + 2 * margin)
-                else:
-                    incoming = _empty_into(kind, 3, d + 2 * margin)
-            else:
-                if k > 0:
-                    incoming = single(k - 1, d + margin, d + 2 * margin)
-                else:
-                    incoming = _empty_into(kind, 0, d + 2 * margin)
-            dims.append(homology_dim_at(outgoing, incoming))
-        if kind.variant == "cohomology":
-            dims = dims[::-1]
-        return tuple(dims)
-
-    values, at, history = stabilize(evaluate, schedule)
-    return [
-        StabilizedDim(v, at, tuple((dd, vals[j]) for dd, vals in history))
-        for j, v in enumerate(values)
-    ]
-
-
 def _row_space(kind: ComplexKind, k: int, bound: int) -> TruncatedSpace:
     if not 0 <= k <= 3:
         return TruncatedSpace(kind.field_order, 0, bound)
     return TruncatedSpace(kind.field_order, len(BASIS[k]), bound)
 
 
-def _empty_into(kind: ComplexKind, k: int, bound: int) -> TruncatedMap:
-    cod = _row_space(kind, k, bound)
-    dom = TruncatedSpace(kind.field_order, 0, 0)
+def _empty_into(cod: TruncatedSpace) -> TruncatedMap:
+    """The map into `cod` from the zero space: no boundaries."""
+    dom = TruncatedSpace(cod.field_order, 0, 0)
     return TruncatedMap(dom, cod, [[] for _ in range(cod.dim)])
 
 

@@ -30,7 +30,8 @@ from .formulas import DimReport, group_coh_dims, hh_dims
 from .linalg import (
     Schedule,
     StabilizedDim,
-    kernel_basis,
+    field_echelon,
+    kernel_raw,
     rank_rows,
     stabilize,
 )
@@ -255,7 +256,7 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
             raise HypothesisError("induced reflection is not an involution")
     # Fixed space = kernel of (M - Id) on the n-dimensional quotient.
     rows = [[matrix[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return len(kernel_basis(rows, n, order))
+    return len(kernel_raw(rows, n, order))
 
 
 def _require_reflective(spec: GWASpec, rho):
@@ -269,36 +270,12 @@ def _echelon_reducer(rows, ncols, order):
     a function reducing vectors modulo the span.  Top-down pivots mean the
     residue is supported on the lowest degrees, i.e. the k[h]_{<n}
     representatives, whenever the span has one leading term per degree."""
-
-    def as_field(v):
-        if order is None:
-            return Fraction(v) if not isinstance(v, Fraction) else v
-        if isinstance(v, Cyclotomic):
-            return v
-        return Cyclotomic.from_rational(order, v)
-
-    work = []
-    for row in rows:
-        work.append([as_field(v) for v in row])
-    pivots = []
-    r = 0
-    for col in range(ncols - 1, -1, -1):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = (1 / work[r][col]) if order is None else work[r][col].inverse()
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    echelon = work[:r]
+    pivots, echelon = field_echelon(rows, ncols, order, columns=range(ncols - 1, -1, -1))
 
     def reduce(vec):
-        out = [as_field(v) for v in vec]
+        # Each echelon row is zero in the earlier pivot columns, so one pass
+        # in pivot order clears every pivot column of `vec`.
+        out = list(vec)
         for row, col in zip(echelon, pivots):
             f = out[col]
             if f:

@@ -1,12 +1,13 @@
 """Exact linear algebra on truncated polynomial spaces.
 
 A truncated space is a finite sum of copies of k[h] cut off at a degree
-bound; every dimension count in the package reduces to ranks and kernels of
-exact matrices between such spaces.  Ranks are computed fraction-free: over
-the rationals rows are scaled to integers and eliminated with the Bareiss
-kernel; over a cyclotomic field the same sweep runs in the ring of integers
-(via the compiled quadratic kernel when the field has degree two, a generic
-pure-Python sweep otherwise).
+bound; every dimension count in the package reduces to ranks of exact
+matrices between such spaces.  Ranks over the rationals and over a
+quadratic cyclotomic field are computed fraction-free: rows are scaled to
+integers (or integer pairs) and eliminated with the Bareiss kernels of
+`gwa._rankcore_py`.  Every other elimination -- ranks over cyclotomic fields
+of higher degree, kernels, reduction modulo a span -- is one forward sweep
+with unit pivots in the field itself (`field_echelon`).
 
 Truncation never fakes exactness: codomain bounds always leave enough margin
 that a kernel vector of a truncated matrix is a genuine kernel vector, and
@@ -16,23 +17,14 @@ the bound until the reported value repeats.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
+from . import _rankcore_py as _kernels
 from .errors import InputError, InternalConsistencyError, StabilizationError
-from .poly import Poly, ShiftSigma, sigma_pow
 from .scalars import Cyclotomic, cyclotomic_coeffs, euler_phi
-
-if os.environ.get("GWA_PURE_LINALG"):
-    from . import _rankcore_py as _kernels
-else:
-    try:
-        from . import _rankcore as _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _rankcore_py as _kernels
 
 KERNEL_IMPLEMENTATION = _kernels.IMPLEMENTATION
 
@@ -131,16 +123,6 @@ class TruncatedMap:
                 )
         return TruncatedMap(dom, cod, [row[:ncols] for row in self.rows[:nrows]])
 
-    def rank(self) -> int:
-        return rank_rows(self.rows, self.domain.dim, self.field_order)
-
-    def kernel_basis(self):
-        return kernel_basis(self.rows, self.domain.dim, self.field_order)
-
-    def dump(self) -> str:
-        """Plain text grid, for debugging small matrices."""
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
 
 # Scalar-row preparation ----------------------------------------------------
 
@@ -182,45 +164,10 @@ def _quad_params(order: int) -> tuple[int, int]:
     return int(phi[1]), int(phi[0])
 
 
-def rank_rows(rows, ncols, field_order=None) -> int:
-    """Rank of a matrix given as rows of exact scalars."""
-    if not rows or ncols == 0:
-        return 0
-    if field_order is None or euler_phi(field_order) == 1:
-        int_rows = [_scale_row_int([_as_rational(v) for v in row]) for row in rows]
-        return _kernels.rank_int(int_rows, ncols)
-    if euler_phi(field_order) == 2:
-        b, c = _quad_params(field_order)
-        quad_rows = [_scale_row_quad(row, field_order) for row in rows]
-        return _kernels.rank_quad(quad_rows, ncols, b, c)
-    return _rank_generic(rows, ncols, field_order)
-
-
 def _as_rational(v) -> Fraction:
     if isinstance(v, Cyclotomic):
         return v.rational_value()
     return Fraction(v)
-
-
-def _rank_generic(rows, ncols, order) -> int:
-    """Plain Gaussian elimination in the cyclotomic field (degree > 2)."""
-    work = [[_coerce_cyclo(v, order) for v in row] for row in rows]
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [v * inv for v in work[r]]
-        for i in range(r + 1, len(work)):
-            f = work[i][col]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
 
 
 def _coerce_cyclo(v, order) -> Cyclotomic:
@@ -233,192 +180,101 @@ def _coerce_cyclo(v, order) -> Cyclotomic:
     return Cyclotomic.from_rational(order, v)
 
 
-def kernel_basis(rows, ncols, field_order=None):
-    """Basis of the right null space {v : M v = 0}; exact scalars.
-
-    Vectors come back over the matrix field with denominators cleared
-    (integer entries over the rationals, integral cyclotomic entries
-    otherwise).
-    """
-    raw = kernel_raw(rows, ncols, field_order)
-    if field_order is None or euler_phi(field_order) <= 2:
-        return [_raw_to_scalars(v, field_order) for v in raw]
-    return raw  # generic path already returns field scalars
+def _field(order: int | None) -> int | None:
+    """The field order to compute in; None for Q, which Q(zeta_1) and
+    Q(zeta_2) are."""
+    return None if order is None or euler_phi(order) == 1 else order
 
 
-def kernel_raw(rows, ncols, field_order=None):
-    """Kernel basis in raw integral form: ints over the rationals, (a, b)
-    integer pairs over a quadratic cyclotomic field."""
-    if ncols == 0:
-        return []
-    if not rows:
-        return [_raw_unit(ncols, j, field_order) for j in range(ncols)]
-    if field_order is None or euler_phi(field_order) == 1:
-        int_rows = [_scale_row_int([_as_rational(v) for v in row]) for row in rows]
-        _, pivots, ech = _kernels.echelon_int(int_rows, ncols)
-        return _back_substitute_int(ech, pivots, ncols)
-    if euler_phi(field_order) == 2:
-        b, c = _quad_params(field_order)
-        quad_rows = [_scale_row_quad(row, field_order) for row in rows]
-        _, pivots, ech = _kernels.echelon_quad(quad_rows, ncols, b, c)
-        return _back_substitute_quad(ech, pivots, ncols, b, c)
-    return _kernel_generic(rows, ncols, field_order)
+def _to_field(v, order: int | None):
+    """`v` as a `Fraction` (order None) or a `Cyclotomic` of that order."""
+    return _as_rational(v) if order is None else _coerce_cyclo(v, order)
 
 
-def _raw_unit(n, j, order):
-    if order is None or euler_phi(order) == 1:
-        return [1 if i == j else 0 for i in range(n)]
-    if euler_phi(order) == 2:
-        return [(1, 0) if i == j else (0, 0) for i in range(n)]
-    return _unit_vector(n, j, order)
+# Elimination ----------------------------------------------------------------
 
 
-def _raw_to_scalars(v, order):
-    if order is None or euler_phi(order) == 1:
-        return list(v)
-    return [Cyclotomic(order, (Fraction(a), Fraction(b)), reduce=False) for a, b in v]
-
-
-def _unit_vector(n, j, order):
-    one = Fraction(1) if order is None else Cyclotomic.from_rational(order, 1)
-    zero = Fraction(0) if order is None else Cyclotomic.from_rational(order, 0)
-    return [one if i == j else zero for i in range(n)]
-
-
-def _back_substitute_int(ech, pivots, ncols):
-    """Integral kernel vectors from an integer echelon form.
-
-    Solving piv * v[p] = -acc is done by rescaling the whole vector by the
-    pivot instead of dividing, which keeps every entry an integer; rows
-    further down never touch columns left of their own pivot, so previously
-    satisfied equations stay satisfied.
-    """
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            if p > free:
-                continue
-            row = ech[i]
-            acc = 0
-            for j in range(p + 1, free + 1):
-                c = row[j]
-                if c and v[j]:
-                    acc += c * v[j]
-            if acc:
-                piv = row[p]
-                v = [piv * e for e in v]
-                v[p] = -acc
-        g = 0
-        for e in v:
-            g = gcd(g, e)
-        if g > 1:
-            v = [e // g for e in v]
-        basis.append(v)
-    return basis
-
-
-def _back_substitute_quad(ech, pivots, ncols, b, c):
-    from ._rankcore_py import _quad_mul
-
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [(0, 0)] * ncols
-        v[free] = (1, 0)
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            if p > free:
-                continue
-            row = ech[i]
-            acc0 = acc1 = 0
-            for j in range(p + 1, free + 1):
-                e = row[j]
-                w = v[j]
-                if (e[0] or e[1]) and (w[0] or w[1]):
-                    m0, m1 = _quad_mul(e[0], e[1], w[0], w[1], b, c)
-                    acc0 += m0
-                    acc1 += m1
-            if acc0 or acc1:
-                piv = row[p]
-                v = [_quad_mul(piv[0], piv[1], e[0], e[1], b, c) for e in v]
-                v[p] = (-acc0, -acc1)
-        g = 0
-        for e0, e1 in v:
-            g = gcd(gcd(g, e0), e1)
-        if g > 1:
-            v = [(e0 // g, e1 // g) for e0, e1 in v]
-        basis.append(v)
-    return basis
-
-
-def _clear_vector(v, order):
+def rank_rows(rows, ncols, field_order=None) -> int:
+    """Rank of a matrix given as rows of exact scalars."""
+    if not rows or ncols == 0:
+        return 0
+    order = _field(field_order)
     if order is None:
-        den = 1
-        for e in v:
-            f = Fraction(e)
-            if f:
-                den = den * f.denominator // gcd(den, f.denominator)
-        return [int(Fraction(e) * den) for e in v]
-    den = 1
-    for e in v:
-        for c in _as_pairs_generic(e, order):
-            if c:
-                den = den * c.denominator // gcd(den, c.denominator)
-    return [
-        Cyclotomic(order, [c * den for c in _as_pairs_generic(e, order)], reduce=False)
-        for e in v
-    ]
+        int_rows = [_scale_row_int([_as_rational(v) for v in row]) for row in rows]
+        return _kernels.echelon_int(int_rows, ncols)[0]
+    if euler_phi(order) == 2:
+        b, c = _quad_params(order)
+        quad_rows = [_scale_row_quad(row, order) for row in rows]
+        return _kernels.echelon_quad(quad_rows, ncols, b, c)[0]
+    return len(field_echelon(rows, ncols, order)[0])
 
 
-def _as_pairs_generic(e, order):
-    if isinstance(e, Cyclotomic):
-        return e.coeffs
-    d = euler_phi(order)
-    return (Fraction(e),) + (Fraction(0),) * (d - 1)
+def field_echelon(rows, ncols, field_order=None, columns=None):
+    """Forward elimination with unit pivots in Q or Q(zeta_m).
 
-
-def _kernel_generic(rows, ncols, order):
-    work = [[_coerce_cyclo(v, order) for v in row] for row in rows]
+    Entries become `Fraction`s, or `Cyclotomic`s when the field has degree
+    above one.  Pivot columns are tried in the order `columns` (default left
+    to right); each pivot row is scaled to a leading 1 and cleared from the
+    rows below it only.  Returns (pivot_columns, echelon_rows): row i has a
+    1 in column pivot_columns[i] and zeros in the earlier pivot columns.
+    """
+    order = _field(field_order)
+    zero = _to_field(0, order)
+    work = [[_to_field(v, order) if v else zero for v in row] for row in rows]
     pivots = []
     r = 0
-    for col in range(ncols):
+    for col in range(ncols) if columns is None else columns:
+        if r == len(work):
+            break
         piv = next((i for i in range(r, len(work)) if work[i][col]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        inv = 1 / work[r][col]
+        top = work[r] = [v * inv if v else zero for v in work[r]]
+        for i in range(r + 1, len(work)):
+            f = work[i][col]
+            if f:
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], top)]
         pivots.append(col)
         r += 1
-        if r == len(work):
-            break
-    # Reduced echelon with unit pivots: plain field back-substitution.
+    return pivots, work[:r]
+
+
+def kernel_raw(rows, ncols, field_order=None):
+    """Basis of the right null space {v : M v = 0}, denominators cleared.
+
+    Entries are ints over the rationals and `Cyclotomic`s with integer
+    coefficients otherwise.  `field_echelon` gives unit pivots, so each
+    non-pivot column yields one vector by plain back-substitution.
+    """
+    order = _field(field_order)
+    pivots, ech = field_echelon(rows, ncols, order)
+    zero, one = _to_field(0, order), _to_field(1, order)
     pivot_set = set(pivots)
-    zero = Cyclotomic.from_rational(order, 0)
-    one = Cyclotomic.from_rational(order, 1)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [zero] * ncols
         v[free] = one
-        for i, p in enumerate(pivots):
-            if p < free and work[i][free]:
-                v[p] = -work[i][free]
-        basis.append(_clear_vector(v, order))
+        for row, p in zip(reversed(ech), reversed(pivots)):
+            if p < free:
+                acc = zero
+                for j in range(p + 1, free + 1):
+                    if row[j] and v[j]:
+                        acc = acc + row[j] * v[j]
+                v[p] = -acc
+        basis.append(_clear_denominators(v, order))
     return basis
+
+
+def _clear_denominators(v, order):
+    if order is None:
+        den = lcm(*(e.denominator for e in v))
+        return [int(e * den) for e in v]
+    den = lcm(*(c.denominator for e in v for c in e.coeffs))
+    return [Cyclotomic(order, [c * den for c in e.coeffs], reduce=False) for e in v]
 
 
 # Stabilization --------------------------------------------------------------
@@ -491,135 +347,32 @@ def stabilize(evaluate, schedule: Schedule):
     )
 
 
-# Operator descriptors -------------------------------------------------------
-
-
-class PolyOperator:
-    """A k[h] -> k[h] operator assembled from shifts and multiplications."""
-
-    def __init__(self, fn, degree_raise: int, label: str):
-        self._fn = fn
-        self.degree_raise = degree_raise
-        self.label = label
-
-    def __call__(self, p: Poly) -> Poly:
-        return self._fn(p)
-
-    def __repr__(self):
-        return f"PolyOperator({self.label})"
-
-
-def op_identity() -> PolyOperator:
-    return PolyOperator(lambda p: p, 0, "Id")
-
-
-def op_multiply(q: Poly, label: str | None = None) -> PolyOperator:
-    return PolyOperator(lambda p: p * q, max(q.degree, 0), label or f"mult[{q}]")
-
-
-def op_sigma_power(k: int, s: ShiftSigma) -> PolyOperator:
-    return PolyOperator(lambda p: sigma_pow(p, k, s), 0, f"sigma^{k}")
-
-
-def op_id_minus_sigma(s: ShiftSigma) -> PolyOperator:
-    return PolyOperator(lambda p: p - sigma_pow(p, 1, s), 0, "Id - sigma")
-
-
-def op_shift_minus_scalar(w, s: ShiftSigma) -> PolyOperator:
-    """sigma - w.Id; an isomorphism of k[h] whenever w != 1."""
-    return PolyOperator(lambda p: sigma_pow(p, 1, s) - p * w, 0, f"sigma - ({w}).Id")
-
-
-def op_compose(outer: PolyOperator, inner: PolyOperator) -> PolyOperator:
-    return PolyOperator(
-        lambda p: outer(inner(p)),
-        outer.degree_raise + inner.degree_raise,
-        f"{outer.label} o {inner.label}",
-    )
-
-
-def operator_matrix(op: PolyOperator, d_dom: int, d_cod: int,
-                    field_order: int | None = None) -> TruncatedMap:
-    """Matrix of `op` restricted to degree <= d_dom, landing in degree <= d_cod."""
-    if d_cod < d_dom + op.degree_raise:
-        raise InputError(
-            f"codomain bound {d_cod} too small for {op.label} on degree <= {d_dom}"
-        )
-    dom = TruncatedSpace(field_order, 1, d_dom)
-    cod = TruncatedSpace(field_order, 1, d_cod)
-    zero = Fraction(0)
-    rows = [[zero] * dom.dim for _ in range(cod.dim)]
-    for j in range(d_dom + 1):
-        img = op(Poly.monomial(j))
-        if img.degree > d_cod:
-            raise InputError(f"image of h^{j} under {op.label} overflows degree {d_cod}")
-        for i, c in enumerate(img.coeffs):
-            if c:
-                rows[i][j] = c
-    return TruncatedMap(dom, cod, rows)
-
-
-def codim_of_image(ops, schedule: Schedule, field_order: int | None = None) -> StabilizedDim:
-    """Stabilized codimension of sum(im(op)) inside k[h].
-
-    At each bound D the span is generated by op(h^j) for j <= D, keeping only
-    images that fit in degree <= D; dropped generators only shrink the span,
-    which the stabilization absorbs.
-    """
-    if isinstance(ops, PolyOperator):
-        ops = [ops]
-
-    def evaluate(d: int) -> int:
-        rows = []
-        for op in ops:
-            for j in range(d + 1):
-                img = op(Poly.monomial(j))
-                if img.degree <= d:
-                    rows.append([img[i] for i in range(d + 1)])
-        return (d + 1) - rank_rows(rows, d + 1, field_order)
-
-    value, at, history = stabilize(evaluate, schedule)
-    return StabilizedDim(value, at, history)
+# Homology of a truncated complex --------------------------------------------
 
 
 def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
-    """dim ker(dp) - dim(im(dnext) meet ker(dp)).
+    """dim ker(dp) - dim(ker(dp) meet im(dnext)), from three ranks.
 
-    Computed as rank([K | N]) - rank(N) with K a kernel basis of dp and N the
-    columns of dnext; the identity dim ker - dim(im meet ker) =
-    rank([K | N]) - rank(N) holds whether or not im(dnext) lies inside the
-    kernel, so boundary effects of truncation cannot overcount.
+    Precondition: dp o dnext = 0 on every vector that dnext maps into dp's
+    domain (callers check d o d = 0 exactly, see `compose_is_zero`).  Then
+    a boundary of degree <= dp's domain bound lies in ker(dp), so
+    ker(dp) meet im(N) = im(N) meet L, with N = dnext's matrix and L the
+    coordinates of dp's domain, the lowest ones in degree-major order.  And
+    dim(im(N) meet L) = rank(N) - rank(N_top), where N_top is N's rows above
+    L.  So the value is nullity(dp) - rank(N) + rank(N_top), with no kernel
+    basis.  Without the precondition it can undercount.
     """
     if dp.domain.copies != dnext.codomain.copies:
         raise InputError("homology spaces disagree on the number of k[h] copies")
     if dp.domain.degree_bound > dnext.codomain.degree_bound:
         raise InputError("kernel space must embed in the boundary codomain")
     order = dp.field_order or dnext.field_order
-    ambient = dnext.codomain.dim
-    kernel = kernel_raw(dp.rows, dp.domain.dim, order)
-    quad = order is not None and euler_phi(order) == 2
-    if order is None or euler_phi(order) == 1:
-        pad = 0
-        padded = [v + [pad] * (ambient - len(v)) for v in kernel]
-        n_cols = [_scale_row_int([_as_rational(v) for v in col])
-                  for col in dnext.columns()]
-        n_rank = _kernels.rank_int(n_cols, ambient) if n_cols else 0
-        kn_rank = _kernels.rank_int(padded + n_cols, ambient) if padded + n_cols else 0
-        return kn_rank - n_rank
-    if quad:
-        pad = (0, 0)
-        padded = [v + [pad] * (ambient - len(v)) for v in kernel]
-        n_cols = [_scale_row_quad(col, order) for col in dnext.columns()]
-        b, c = _quad_params(order)
-        n_rank = _kernels.rank_quad(n_cols, ambient, b, c) if n_cols else 0
-        stacked = padded + n_cols
-        kn_rank = _kernels.rank_quad(stacked, ambient, b, c) if stacked else 0
-        return kn_rank - n_rank
-    padded = [list(v) + [0] * (ambient - len(v)) for v in kernel]
-    n_cols = [list(col) for col in dnext.columns()]
-    n_rank = rank_rows(n_cols, ambient, order)
-    kn_rank = rank_rows(padded + n_cols, ambient, order)
-    return kn_rank - n_rank
+    low = dp.domain.dim
+    boundary = dnext.rows
+    width = dnext.domain.dim
+    return (low - rank_rows(dp.rows, low, order)
+            - rank_rows(boundary, width, order)
+            + rank_rows(boundary[low:], width, order))
 
 
 def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
@@ -632,10 +385,10 @@ def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
     """
     if inner.codomain.dim != outer.domain.dim:
         raise InputError("composition shape mismatch")
-    order = outer.field_order or inner.field_order
+    order = _field(outer.field_order or inner.field_order)
     if order is not None and euler_phi(order) > 2:
         return outer.compose(inner).is_zero()
-    if order is None or euler_phi(order) == 1:
+    if order is None:
         a_rows = [_scale_row_int([_as_rational(v) for v in row]) for row in outer.rows]
         b_cols = [_scale_row_int([_as_rational(v) for v in col])
                   for col in inner.columns()]
@@ -645,8 +398,7 @@ def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
                 if sum(c * col[j] for j, c in support):
                     return False
         return True
-    from ._rankcore_py import _quad_mul
-
+    quad_mul = _kernels._quad_mul
     b, c = _quad_params(order)
     a_rows = [_scale_row_quad(row, order) for row in outer.rows]
     b_cols = [_scale_row_quad(col, order) for col in inner.columns()]
@@ -657,32 +409,9 @@ def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
             for j, e in support:
                 w = col[j]
                 if w[0] or w[1]:
-                    m0, m1 = _quad_mul(e[0], e[1], w[0], w[1], b, c)
+                    m0, m1 = quad_mul(e[0], e[1], w[0], w[1], b, c)
                     acc0 += m0
                     acc1 += m1
             if acc0 or acc1:
                 return False
     return True
-
-
-def restriction_of_scalars(rows, order: int):
-    """Integer matrix of the same map viewed over the rationals.
-
-    Each cyclotomic entry becomes the phi(order) x phi(order) block of
-    multiplication by it in the power basis; ranks multiply by phi(order).
-    Used to spot-check the cyclotomic elimination against the integer one.
-    """
-    d = euler_phi(order)
-    basis = [Cyclotomic.zeta(order, k) if k else Cyclotomic.from_rational(order, 1)
-             for k in range(d)]
-    out = []
-    for row in rows:
-        block_rows = [[] for _ in range(d)]
-        for v in row:
-            cv = _coerce_cyclo(v, order)
-            for k, b in enumerate(basis):
-                col = (cv * b).coeffs
-                for i in range(d):
-                    block_rows[i].append(col[i])
-        out.extend(block_rows)
-    return [_scale_row_int(r) for r in out]

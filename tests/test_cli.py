@@ -129,9 +129,9 @@ def test_run_job_helper():
     assert payload["results"][0]["dims"] == [0, 0, 1, 0, 0, 0]
 
 
-def test_dmax_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GWA_DMAX", "13")
-    code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "1"])
+def test_dmax_env_override(capsys):
+    # The cap is set by --d-max only; there is no environment override.
+    code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "1", "--d-max", "13"])
     assert code == 4  # start is 12, cap 13: cannot see two agreeing values
     assert "stabilization" in err
 
@@ -206,15 +206,3 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "[0 0 1 0 0 0]" in proc.stdout
-
-
-def test_pure_python_fallback_selected_by_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    env["GWA_PURE_LINALG"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from gwa.linalg import KERNEL_IMPLEMENTATION; print(KERNEL_IMPLEMENTATION)"],
-        capture_output=True, text=True, env=env, cwd=ROOT,
-    )
-    assert proc.stdout.strip() == "python"

@@ -235,6 +235,36 @@ def test_oracle_examples():
     assert dims(oracle_dims(sq, COHOMOLOGY, 4)) == [1, 0, 1, 1, 1]
 
 
+def test_row_homology_assembles_each_wedge_degree_once(monkeypatch):
+    calls = []
+    real = gwa.complexes._assemble_single_row
+
+    def spy(spec, kind, k, b_dom, b_cod):
+        calls.append((k, b_dom, b_cod))
+        return real(spec, kind, k, b_dom, b_cod)
+
+    monkeypatch.setattr(gwa.complexes, "_assemble_single_row", spy)
+    stabs = row_homology_dims(CUBIC, HOMOLOGY)
+    assert [d for d, _ in stabs[0].history] == [12, 16]
+    m = CUBIC.n + 1
+    assert sorted(calls) == [(k, 16 + m, 16 + 2 * m) for k in range(4)]
+
+
+def test_row_homology_rejects_a_broken_row_map(monkeypatch):
+    real = gwa.complexes._assemble_single_row
+
+    def broken(spec, kind, k, b_dom, b_cod):
+        out = real(spec, kind, k, b_dom, b_cod)
+        if k == 1:
+            # Row 0 (degree 0) is kept by every slice, so only d o d can fail.
+            out.rows[0] = [Fraction(1)] * out.domain.dim
+        return out
+
+    monkeypatch.setattr(gwa.complexes, "_assemble_single_row", broken)
+    with pytest.raises(InternalConsistencyError, match="d o d"):
+        row_homology_dims(CUBIC, HOMOLOGY)
+
+
 def test_row_homology_tables():
     assert dims(row_homology_dims(CUBIC, HOMOLOGY)) == [2, 1, 0, 1]
     assert dims(row_homology_dims(WEYL, HOMOLOGY)) == [0, 0, 1, 1]
