@@ -65,23 +65,19 @@ def _quad_mul(a0, a1, b0, b1, b, c):
     return a0 * b0 - c * t, a0 * b1 + a1 * b0 - b * t
 
 
-def _quad_divexact(u0, u1, v0, v1, b, c):
-    """Exact division by v in Z[z]/(z^2 + b z + c) via the conjugate."""
-    # conj(v) = (v0 - b*v1) - v1 z; norm = v * conj(v) is a rational integer.
-    n = v0 * v0 - b * v0 * v1 + c * v1 * v1
-    w0, w1 = _quad_mul(u0, u1, v0 - b * v1, -v1, b, c)
-    return w0 // n, w1 // n
-
-
 def echelon_quad(rows, ncols, b, c):
     """Fraction-free row echelon over Z[z]/(z^2 + b z + c).
 
-    Entries are (a0, a1) pairs.  Same contract as `echelon_int`.
+    Entries are (a0, a1) pairs for a0 + a1 z.  Same contract as
+    `echelon_int`.  The update x -> (piv * x - f * y) / prev is written out
+    on the pairs; the division multiplies by conj(prev) = (q0 - b q1) - q1 z
+    and divides exactly by the rational integer prev * conj(prev), both
+    computed once per stage.  Cells zero in both rows stay zero.
     """
     m = [[(e[0], e[1]) for e in row] for row in rows]
     nr = len(m)
     pivots = []
-    prev = (1, 0)
+    p0, p1 = 1, 0
     r = 0
     for col in range(ncols):
         if r == nr:
@@ -98,11 +94,14 @@ def echelon_quad(rows, ncols, b, c):
             continue
         if best != r:
             m[r], m[best] = m[best], m[r]
-        piv = m[r][col]
-        row_r = m[r]
-        p0, p1 = piv
-        q0, q1 = prev
+        # The previous pivot q divides every updated cell; k0 + k1 z is its
+        # conjugate and nq its norm.
+        q0, q1 = p0, p1
+        k0, k1 = q0 - b * q1, -q1
+        nq = q0 * k0 - c * q1 * k1
         trivial_prev = q0 == 1 and q1 == 0
+        row_r = m[r]
+        p0, p1 = row_r[col]
         for i in range(r + 1, nr):
             row_i = m[i]
             f0, f1 = row_i[col]
@@ -110,21 +109,28 @@ def echelon_quad(rows, ncols, b, c):
                 for j in range(col, ncols):
                     x0, x1 = row_i[j]
                     y0, y1 = row_r[j]
-                    t0, t1 = _quad_mul(p0, p1, x0, x1, b, c)
-                    s0, s1 = _quad_mul(f0, f1, y0, y1, b, c)
-                    t0 -= s0
-                    t1 -= s1
+                    if not (x0 or x1 or y0 or y1):
+                        continue
+                    # t = piv * x - f * y
+                    u = p1 * x1 - f1 * y1
+                    t0 = p0 * x0 - f0 * y0 - c * u
+                    t1 = p0 * x1 + p1 * x0 - f0 * y1 - f1 * y0 - b * u
                     if not trivial_prev:
-                        t0, t1 = _quad_divexact(t0, t1, q0, q1, b, c)
+                        u = t1 * k1
+                        t0, t1 = (t0 * k0 - c * u) // nq, (t0 * k1 + t1 * k0 - b * u) // nq
                     row_i[j] = (t0, t1)
             elif p0 != q0 or p1 != q1:
                 for j in range(col, ncols):
                     x0, x1 = row_i[j]
-                    t0, t1 = _quad_mul(p0, p1, x0, x1, b, c)
+                    if not (x0 or x1):
+                        continue
+                    u = p1 * x1
+                    t0 = p0 * x0 - c * u
+                    t1 = p0 * x1 + p1 * x0 - b * u
                     if not trivial_prev:
-                        t0, t1 = _quad_divexact(t0, t1, q0, q1, b, c)
+                        u = t1 * k1
+                        t0, t1 = (t0 * k0 - c * u) // nq, (t0 * k1 + t1 * k0 - b * u) // nq
                     row_i[j] = (t0, t1)
         pivots.append(col)
-        prev = piv
         r += 1
     return r, pivots, m[:r]

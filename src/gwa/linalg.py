@@ -5,9 +5,13 @@ bound; every dimension count in the package reduces to ranks of exact
 matrices between such spaces.  Ranks over the rationals and over a
 quadratic cyclotomic field are computed fraction-free: rows are scaled to
 integers (or integer pairs) and eliminated with the Bareiss kernels of
-`gwa._rankcore_py`.  Every other elimination -- ranks over cyclotomic fields
-of higher degree, kernels, reduction modulo a span -- is one forward sweep
-with unit pivots in the field itself (`field_echelon`).
+`gwa._rankcore_py`.  The exact d o d = 0 test (`compose_is_zero`) scales the
+outer map's rows and the inner map's columns the same way.  The scaling
+contract: each row or column is multiplied by a positive integer, the lcm of
+its denominators, and no `Fraction` is built on the way; so ranks, and
+whether a product is zero, are unchanged.  Every other elimination -- ranks
+over cyclotomic fields of higher degree, kernels, reduction modulo a span --
+is one forward sweep with unit pivots in the field itself (`field_echelon`).
 
 Truncation never fakes exactness: codomain bounds always leave enough margin
 that a kernel vector of a truncated matrix is a genuine kernel vector, and
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 
 from . import _rankcore_py as _kernels
 from .errors import InputError, InternalConsistencyError, StabilizationError
@@ -124,36 +128,55 @@ class TruncatedMap:
         return TruncatedMap(dom, cod, [row[:ncols] for row in self.rows[:nrows]])
 
 
-# Scalar-row preparation ----------------------------------------------------
+# Scalar-row preparation (the scaling contract in the module docstring) ------
 
 
-def _scale_row_int(row):
-    """Clear denominators of a row of rationals; returns integer entries."""
+def _rational(v, order=None):
+    """`v` as an int or `Fraction`; `v` may be a rational `Cyclotomic`."""
+    if isinstance(v, Cyclotomic):
+        if order is not None and not v.is_rational():
+            raise InputError(f"mixed cyclotomic orders {v.order} and {order}")
+        return v.rational_value()
+    return v
+
+
+def _int_row(row):
+    """`row` times the lcm of its denominators: a list of ints.
+
+    Entries may be ints, `Fraction`s and rational `Cyclotomic`s.
+    """
+    if any(isinstance(v, Cyclotomic) for v in row):
+        row = [_rational(v) for v in row]
     den = 1
     for v in row:
-        if v:
-            den = den * v.denominator // gcd(den, v.denominator)
-    return [int(v * den) for v in row]
+        d = v.denominator
+        if d != 1 and den % d:
+            den = lcm(den, d)
+    if den == 1:
+        return [v.numerator for v in row]
+    return [v.numerator * (den // v.denominator) if v else 0 for v in row]
 
 
-def _as_pair(v, order):
-    if isinstance(v, Cyclotomic):
-        if v.order != order:
-            if v.is_rational():
-                return (v.rational_value(), Fraction(0))
-            raise InputError(f"mixed cyclotomic orders {v.order} and {order}")
-        return (v.coeffs[0], v.coeffs[1])
-    return (Fraction(v), Fraction(0))
+def _pair_row(row, order):
+    """`row` over Q(zeta_order), a quadratic field, as integer pairs (a0, a1)
+    for a0 + a1 zeta, scaled by the lcm of all coefficient denominators.
 
-
-def _scale_row_quad(row, order):
-    pairs = [_as_pair(v, order) for v in row]
+    Entries may be ints, `Fraction`s and `Cyclotomic`s of that order or
+    rational ones of any order.
+    """
+    pairs = [(v, 0) if not isinstance(v, Cyclotomic)
+             else v.coeffs if v.order == order else (_rational(v, order), 0)
+             for v in row]
     den = 1
-    for a, b in pairs:
-        for v in (a, b):
-            if v:
-                den = den * v.denominator // gcd(den, v.denominator)
-    return [(int(a * den), int(b * den)) for a, b in pairs]
+    for pair in pairs:
+        for v in pair:
+            d = v.denominator
+            if d != 1 and den % d:
+                den = lcm(den, d)
+    if den == 1:
+        return [(a.numerator, b.numerator) for a, b in pairs]
+    return [(a.numerator * (den // a.denominator) if a else 0,
+             b.numerator * (den // b.denominator) if b else 0) for a, b in pairs]
 
 
 def _quad_params(order: int) -> tuple[int, int]:
@@ -164,20 +187,10 @@ def _quad_params(order: int) -> tuple[int, int]:
     return int(phi[1]), int(phi[0])
 
 
-def _as_rational(v) -> Fraction:
-    if isinstance(v, Cyclotomic):
-        return v.rational_value()
-    return Fraction(v)
-
-
 def _coerce_cyclo(v, order) -> Cyclotomic:
-    if isinstance(v, Cyclotomic):
-        if v.order != order and not v.is_rational():
-            raise InputError(f"mixed cyclotomic orders {v.order} and {order}")
-        if v.order != order:
-            return Cyclotomic.from_rational(order, v.rational_value())
+    if isinstance(v, Cyclotomic) and v.order == order:
         return v
-    return Cyclotomic.from_rational(order, v)
+    return Cyclotomic.from_rational(order, _rational(v, order))
 
 
 def _field(order: int | None) -> int | None:
@@ -188,7 +201,7 @@ def _field(order: int | None) -> int | None:
 
 def _to_field(v, order: int | None):
     """`v` as a `Fraction` (order None) or a `Cyclotomic` of that order."""
-    return _as_rational(v) if order is None else _coerce_cyclo(v, order)
+    return Fraction(_rational(v)) if order is None else _coerce_cyclo(v, order)
 
 
 # Elimination ----------------------------------------------------------------
@@ -200,12 +213,11 @@ def rank_rows(rows, ncols, field_order=None) -> int:
         return 0
     order = _field(field_order)
     if order is None:
-        int_rows = [_scale_row_int([_as_rational(v) for v in row]) for row in rows]
-        return _kernels.echelon_int(int_rows, ncols)[0]
+        return _kernels.echelon_int([_int_row(row) for row in rows], ncols)[0]
     if euler_phi(order) == 2:
         b, c = _quad_params(order)
-        quad_rows = [_scale_row_quad(row, order) for row in rows]
-        return _kernels.echelon_quad(quad_rows, ncols, b, c)[0]
+        pair_rows = [_pair_row(row, order) for row in rows]
+        return _kernels.echelon_quad(pair_rows, ncols, b, c)[0]
     return len(field_echelon(rows, ncols, order)[0])
 
 
@@ -389,9 +401,8 @@ def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
     if order is not None and euler_phi(order) > 2:
         return outer.compose(inner).is_zero()
     if order is None:
-        a_rows = [_scale_row_int([_as_rational(v) for v in row]) for row in outer.rows]
-        b_cols = [_scale_row_int([_as_rational(v) for v in col])
-                  for col in inner.columns()]
+        a_rows = [_int_row(row) for row in outer.rows]
+        b_cols = [_int_row(col) for col in inner.columns()]
         for row in a_rows:
             support = [(j, c) for j, c in enumerate(row) if c]
             for col in b_cols:
@@ -400,8 +411,8 @@ def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
         return True
     quad_mul = _kernels._quad_mul
     b, c = _quad_params(order)
-    a_rows = [_scale_row_quad(row, order) for row in outer.rows]
-    b_cols = [_scale_row_quad(col, order) for col in inner.columns()]
+    a_rows = [_pair_row(row, order) for row in outer.rows]
+    b_cols = [_pair_row(col, order) for col in inner.columns()]
     for row in a_rows:
         support = [(j, e) for j, e in enumerate(row) if e[0] or e[1]]
         for col in b_cols:

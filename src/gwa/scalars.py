@@ -21,6 +21,8 @@ Rational = Fraction
 #: matrices over larger fields too expensive to be useful here.
 DEFAULT_ORDER_CAP = 64
 
+_ZERO = Fraction(0)
+
 
 class ScalarFieldError(InputError):
     """Incompatible or unsupported scalar fields (e.g. mixing zeta3 with zeta4)."""
@@ -72,18 +74,30 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_coeffs(m)) - 1
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(work: list[Fraction], m: int) -> tuple[Fraction, ...]:
+    """The residue of sum work[i] t^i modulo Phi_m; reduces `work` in place.
+
+    Coefficients are subtracted as they are, so `Fraction`s stay
+    `Fraction`s.
+    """
     phi = cyclotomic_coeffs(m)
     deg = len(phi) - 1
-    work = list(coeffs)
+    # Phi_m is monic; its top term only cancels work[i], which is dropped.
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            for j in range(deg + 1):
-                work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
+            base = i - deg
+            for j, pj in terms:
+                if pj == 1:
+                    work[base + j] -= c
+                elif pj == -1:
+                    work[base + j] += c
+                else:
+                    work[base + j] -= c * pj
+    del work[deg:]
     work += [Fraction(0)] * (deg - len(work))
-    return tuple(Fraction(c) for c in work)
+    return tuple(work)
 
 
 class Cyclotomic:
@@ -185,14 +199,16 @@ class Cyclotomic:
             return Cyclotomic._make(
                 self.order, (a0 * b0 - phi[0] * t, a0 * b1 + a1 * b0 - phi[1] * t)
             )
-        n = len(mine)
-        prod = [Fraction(0)] * (2 * n - 1)
+        theirs = o.coeffs
+        prod = [_ZERO] * (2 * len(mine) - 1)
         for i, a in enumerate(mine):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(theirs):
                     if b:
-                        prod[i + j] += a * b
-        return Cyclotomic(self.order, prod)
+                        # A cell still zero takes a * b without adding 0.
+                        cell = prod[i + j]
+                        prod[i + j] = cell + a * b if cell else a * b
+        return Cyclotomic._make(self.order, _reduce_mod_phi(prod, self.order))
 
     __rmul__ = __mul__
 

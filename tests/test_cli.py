@@ -206,3 +206,16 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "[0 0 1 0 0 0]" in proc.stdout
+
+
+def test_import_leaves_out_concurrent_futures():
+    # Only --sweep needs the process pool; every other run skips its import.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gwa.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -11,7 +11,12 @@ from gwa.linalg import (
     Schedule,
     TruncatedMap,
     TruncatedSpace,
+    _int_row,
+    _kernels,
+    _pair_row,
+    _quad_params,
     compose_is_zero,
+    field_echelon,
     homology_dim_at,
     kernel_raw,
     rank_rows,
@@ -259,3 +264,214 @@ def test_homology_dim_matches_kernel_reference(suite, w):
                         continue  # no boundaries into cochain degree 0
                     assert homology_dim_at(dp, dnext) == homology_dim_reference(dp, dnext), \
                         (spec.a, variant, q, bound)
+
+
+# Row preparation and the quadratic Bareiss kernel ----------------------------
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6)))
+
+
+def _mixed_scalar(rng, order, other_orders=(3, 4, 5, 6)):
+    """A random scalar of Q (order None) or Q(zeta_order), in any of the
+    representations matrices carry: int 0, ints, `Fraction`s, rational
+    `Cyclotomic`s (of an order drawn from `other_orders` or of `order`) and
+    field elements."""
+    kind = rng.randrange(6 if order else 5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-6, 6)
+    if kind in (2, 3):
+        return _random_rational(rng)
+    if kind == 4:
+        return Cyclotomic.from_rational(rng.choice(other_orders), _random_rational(rng))
+    return Cyclotomic(order, [_random_rational(rng) for _ in range(euler_phi(order))])
+
+
+def _mixed_rows(rng, order, nr, nc, other_orders=(3, 4, 5, 6)):
+    rows = [[_mixed_scalar(rng, order, other_orders) for _ in range(nc)] for _ in range(nr)]
+    if nr > 2 and rng.random() < 0.5:
+        # A dependent row lowers the rank.
+        rows[-1] = [_in_field(a, order) + _in_field(b, order) for a, b in zip(rows[0], rows[1])]
+    if nc > 1 and rng.random() < 0.3:
+        for row in rows:
+            row[rng.randrange(nc)] = Fraction(0)
+    return rows
+
+
+def _in_field(v, order):
+    """`v` as a `Fraction` (order None) or a scalar that mixes with
+    Q(zeta_order): rational `Cyclotomic`s of other orders become `Fraction`s."""
+    if isinstance(v, Cyclotomic) and v.order != order:
+        return v.rational_value()
+    return Fraction(v) if order is None else v
+
+
+def _assert_positive_multiple(out, row, order, as_scalar):
+    """out == k * row for one rational k > 0."""
+    row = [_in_field(v, order) for v in row]
+    k = next((as_scalar(e) / v for e, v in zip(out, row) if v), None)
+    if k is None:
+        assert all(not as_scalar(e) for e in out)
+        return
+    if isinstance(k, Cyclotomic):
+        k = k.rational_value()  # raises unless k is rational
+    assert k > 0
+    assert all(as_scalar(e) == k * v for e, v in zip(out, row))
+
+
+@pytest.mark.parametrize("order", [None, 3, 4, 6], ids=["Q", "zeta3", "zeta4", "zeta6"])
+def test_row_preparation_scales_rows_by_positive_integers(order):
+    rng = random.Random(41 if order is None else order)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _mixed_rows(rng, order, nr, nc)
+        for row in rows:
+            if order is None:
+                out = _int_row(row)
+                assert all(type(e) is int for e in out)
+                _assert_positive_multiple(out, row, order, Fraction)
+            else:
+                out = _pair_row(row, order)
+                assert all(type(a) is int and type(b) is int for a, b in out)
+                _assert_positive_multiple(out, row, order, lambda e: Cyclotomic(order, e))
+        assert rank_rows(rows, nc, order) == len(field_echelon(rows, nc, order)[0])
+
+
+def _zero_product_pair(rng, order, nr, nc):
+    """outer (nr x nc) and inner with outer o inner = 0: inner's columns
+    are kernel vectors of outer, rescaled and re-represented at random."""
+    outer = _mixed_rows(rng, order, nr, nc, other_orders=(order or 4,))
+    kernel = kernel_raw(outer, nc, order) or [[0] * nc]
+    cols = []
+    for _ in range(rng.randint(1, 4)):
+        v = rng.choice(kernel)
+        s = _random_rational(rng) or Fraction(1)
+        if order is not None and rng.random() < 0.5:
+            s = s * zeta(order)
+        cols.append([_represent(rng, s * e, order) for e in v])
+    inner = [list(r) for r in zip(*cols)]
+    return outer, inner
+
+
+def _represent(rng, v, order):
+    """`v` as an int, a `Fraction` or a `Cyclotomic`, whichever it fits."""
+    if isinstance(v, Cyclotomic) and not v.is_rational():
+        return v
+    q = Fraction(v.rational_value() if isinstance(v, Cyclotomic) else v)
+    choice = rng.randrange(3)
+    if choice == 0 and q.denominator == 1:
+        return int(q)
+    if choice == 1:
+        return Cyclotomic.from_rational(order or 4, q)
+    return q
+
+
+def _as_map(rows, ncols, order):
+    dom = TruncatedSpace(order, 1, ncols - 1)
+    cod = TruncatedSpace(order, 1, len(rows) - 1)
+    return TruncatedMap(dom, cod, rows)
+
+
+@pytest.mark.parametrize("order", [None, 3, 4, 6], ids=["Q", "zeta3", "zeta4", "zeta6"])
+def test_compose_is_zero_matches_the_field_product(order):
+    rng = random.Random(43 if order is None else 43 + order)
+    outcomes = set()
+    for trial in range(60):
+        nr, nc = rng.randint(1, 5), rng.randint(2, 6)
+        outer, inner = _zero_product_pair(rng, order, nr, nc)
+        if trial % 3 == 1:
+            # A nonzero product, or a near miss: one inner entry changed.
+            i, j = rng.randrange(nc), rng.randrange(len(inner[0]))
+            inner[i][j] = inner[i][j] + _random_rational(rng)
+        elif trial % 3 == 2:
+            inner = _mixed_rows(rng, order, nc, rng.randint(1, 4), other_orders=(order or 4,))
+        a = _as_map(outer, nc, order)
+        b = _as_map(inner, len(inner[0]), order)
+        expected = a.compose(b).is_zero()
+        assert compose_is_zero(a, b) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+    if order is not None:
+        # A product whose only nonzero coefficient is that of zeta.
+        one = _as_map([[1]], 1, order)
+        assert not compose_is_zero(one, _as_map([[zeta(order)]], 1, order))
+
+
+def _quad_mul_reference(a0, a1, b0, b1, b, c):
+    t = a1 * b1
+    return a0 * b0 - c * t, a0 * b1 + a1 * b0 - b * t
+
+
+def _quad_divexact_reference(u0, u1, v0, v1, b, c):
+    n = v0 * v0 - b * v0 * v1 + c * v1 * v1
+    w0, w1 = _quad_mul_reference(u0, u1, v0 - b * v1, -v1, b, c)
+    return w0 // n, w1 // n
+
+
+def echelon_quad_reference(rows, ncols, b, c):
+    """Bareiss over Z[z]/(z^2 + b z + c) with one exact division by the
+    previous pivot per updated cell, through its conjugate."""
+    m = [[(e[0], e[1]) for e in row] for row in rows]
+    nr = len(m)
+    pivots = []
+    prev = (1, 0)
+    r = 0
+    for col in range(ncols):
+        if r == nr:
+            break
+        best = -1
+        best_size = 0
+        for i in range(r, nr):
+            v0, v1 = m[i][col]
+            if v0 or v1:
+                size = abs(v0) + abs(v1)
+                if best < 0 or size < best_size:
+                    best, best_size = i, size
+        if best < 0:
+            continue
+        m[r], m[best] = m[best], m[r]
+        p0, p1 = m[r][col]
+        q0, q1 = prev
+        for i in range(r + 1, nr):
+            f0, f1 = m[i][col]
+            if not (f0 or f1 or p0 != q0 or p1 != q1):
+                continue
+            for j in range(col, ncols):
+                t0, t1 = _quad_mul_reference(p0, p1, *m[i][j], b, c)
+                s0, s1 = _quad_mul_reference(f0, f1, *m[r][j], b, c)
+                m[i][j] = _quad_divexact_reference(t0 - s0, t1 - s1, q0, q1, b, c)
+        pivots.append(col)
+        prev = (p0, p1)
+        r += 1
+    return r, pivots, m[:r]
+
+
+@pytest.mark.parametrize("order", [3, 4, 6], ids=["zeta3", "zeta4", "zeta6"])
+def test_echelon_quad_matches_reference(order):
+    b, c = _quad_params(order)
+    rng = random.Random(order)
+    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0}
+    for _ in range(80):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[(rng.randint(-5, 5), rng.randint(-5, 5)) if rng.random() < 0.7 else (0, 0)
+                 for _ in range(nc)] for _ in range(nr)]
+        if nr > 2 and rng.random() < 0.5:
+            # A Z[z]-combination of two rows makes the matrix rank-deficient.
+            u, v = (rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-3, 3), 1)
+            rows[-1] = [tuple(x + y for x, y in zip(_quad_mul_reference(*u, *e0, b, c),
+                                                    _quad_mul_reference(*v, *e1, b, c)))
+                        for e0, e1 in zip(rows[0], rows[1])]
+        if nc > 1 and rng.random() < 0.3:
+            zero = rng.randrange(nc)
+            for row in rows:
+                row[zero] = (0, 0)
+        got = _kernels.echelon_quad(rows, nc, b, c)
+        assert got == echelon_quad_reference(rows, nc, b, c)
+        rank, pivots, ech = got
+        seen["deficient"] += rank < min(nr, nc)
+        seen["zero_column"] += any(all(row[j] == (0, 0) for row in rows) for j in range(nc))
+        seen["nontrivial_prev"] += rank >= 2 and ech[0][pivots[0]] != (1, 0)
+    assert all(seen.values()), seen

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,3 +119,46 @@ def test_inverse_is_two_sided(a):
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.from_rational(3, 0).inverse()
+
+
+def _raw_product(x, y):
+    """The coefficients of the product of x and y as polynomials in zeta,
+    before any reduction modulo the cyclotomic polynomial."""
+    out = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("order", [5, 7, 8, 12, 105])
+def test_product_matches_reduced_raw_product(order):
+    # Phi_105 is the first cyclotomic polynomial with a coefficient other
+    # than 0 and +-1.
+    rng = random.Random(order)
+    d = euler_phi(order)
+    phi = Poly(cyclotomic_coeffs(order))
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Cyclotomic.from_rational(order, 0)
+        if kind == 1:
+            return Cyclotomic.from_rational(order, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        return Cyclotomic(order, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                  for _ in range(d)])
+
+    for _ in range(40):
+        x, y = draw(), draw()
+        raw = _raw_product(x, y)
+        got = x * y
+        assert got.order == order
+        assert got == Cyclotomic(order, raw)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        # The same residue from polynomial division by Phi_m.
+        rem = Poly(raw) % phi
+        assert got.coeffs == tuple(rem[i] for i in range(d))
+    q = Fraction(-3, 2)
+    x = draw()
+    assert (x * q).coeffs == tuple(c * q for c in x.coeffs)
+    assert all(type(c) is Fraction for c in (x * 0).coeffs)
