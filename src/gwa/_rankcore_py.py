@@ -20,7 +20,7 @@ def echelon_int(rows, ncols):
 
     Returns (rank, pivot_columns, echelon_rows); echelon_rows holds the
     `rank` nonzero rows, each with integer entries and leading entry in its
-    pivot column.
+    pivot column.  Cells zero in both rows stay zero.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -49,20 +49,19 @@ def echelon_int(rows, ncols):
             f = row_i[col]
             if f:
                 for j in range(col, ncols):
-                    row_i[j] = (piv * row_i[j] - f * row_r[j]) // prev
+                    x = row_i[j]
+                    y = row_r[j]
+                    if x or y:
+                        row_i[j] = (piv * x - f * y) // prev
             elif piv != prev:
                 for j in range(col, ncols):
-                    row_i[j] = (piv * row_i[j]) // prev
+                    x = row_i[j]
+                    if x:
+                        row_i[j] = (piv * x) // prev
         pivots.append(col)
         prev = piv
         r += 1
     return r, pivots, m[:r]
-
-
-def _quad_mul(a0, a1, b0, b1, b, c):
-    """(a0 + a1 z)(b0 + b1 z) in Z[z]/(z^2 + b z + c)."""
-    t = a1 * b1
-    return a0 * b0 - c * t, a0 * b1 + a1 * b0 - b * t
 
 
 def echelon_quad(rows, ncols, b, c):

@@ -100,9 +100,6 @@ class GWAElement:
         p = self.terms.get(j)
         return GWAElement(self.spec, {j: p} if p is not None else {})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.terms) <= 1
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -186,14 +183,6 @@ class GWAElement:
                     body = f"({body})*{suffix}" if len(p.coeffs) > 1 or "-" in body or "/" in body else f"{body}*{suffix}"
             parts.append(body)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _sigma_product(spec: GWASpec, start: int, stop: int) -> Poly:
-    """Product of sigma^t(a) for t = start..stop (inclusive, start <= stop)."""
-    out = Poly.const(1)
-    for t in range(start, stop + 1):
-        out = out * sigma_pow(spec.a, t, spec.sigma)
-    return out
 
 
 def _term_mul(spec: GWASpec, i: int, p: Poly, j: int, q: Poly):
@@ -398,7 +387,3 @@ def _eval_poly_at(p: Poly, at: GWAElement, spec: GWASpec) -> GWAElement:
     for c in reversed(p.coeffs):
         result = result * at + spec.from_poly(Poly.const(c))
     return result
-
-
-def format_element(u: GWAElement) -> str:
-    return str(u)

@@ -117,12 +117,11 @@ class RunReport:
 
 
 def _schedule_for(n: int, args) -> Schedule:
-    d_max = getattr(args, "d_max", None)
-    if d_max is None:
-        d_max = 240
+    default = Schedule.default(n, getattr(args, "d_max", None))
+    d_max = default.d_max
     start = getattr(args, "d_start", None)
     if start is None:
-        start = max(4 * n, 12)
+        start = default.start
     if start < 0 or d_max < 0:
         raise InputError(f"truncation bounds must be nonnegative (start {start}, cap {d_max})")
     if start > d_max:
@@ -160,34 +159,26 @@ def _stab_meta(stabs) -> dict:
     }
 
 
-def cmd_hh(args) -> RunReport:
-    spec, sigma = _parse_spec(args)
-    report = RunReport(SCHEMA_VERSION, "hh", {"a": format_poly(spec.a), "h0": str(sigma.h0)})
-    n, d = degree_invariants(spec.a, sigma)
-    report.n, report.d = n, d
-    formula = hh_dims(spec.a, sigma, args.p_max)
-    report.results.append({"kind": "homology", "source": "formula", "dims": formula.dims})
-    if not args.formula_only:
-        stabs = oracle_dims(spec, HOMOLOGY, args.p_max, _schedule_for(n, args))
-        dims = [int(v) for v in stabs]
-        report.results.append({"kind": "homology", "source": "oracle", "dims": dims})
-        report.stabilization = _stab_meta(stabs)
-        report.agreement = dims == formula.dims
-    report.duality = duality_flag(spec.a, sigma)
-    return report
+#: The untwisted complex and closed-form table of each variant.
+UNTWISTED = {"homology": (HOMOLOGY, hh_dims), "cohomology": (COHOMOLOGY, coh_dims)}
 
 
-def cmd_coh(args) -> RunReport:
+def cmd_untwisted(args) -> RunReport:
+    """`hh` or `coh`: the formula table of one variant and, unless
+    --formula-only, the oracle's."""
+    variant = "homology" if args.command == "hh" else "cohomology"
+    kind, formula_of = UNTWISTED[variant]
     spec, sigma = _parse_spec(args)
-    report = RunReport(SCHEMA_VERSION, "coh", {"a": format_poly(spec.a), "h0": str(sigma.h0)})
+    report = RunReport(SCHEMA_VERSION, args.command,
+                       {"a": format_poly(spec.a), "h0": str(sigma.h0)})
     n, d = degree_invariants(spec.a, sigma)
     report.n, report.d = n, d
-    formula = coh_dims(spec.a, sigma, args.p_max)
-    report.results.append({"kind": "cohomology", "source": "formula", "dims": formula.dims})
+    formula = formula_of(spec.a, sigma, args.p_max)
+    report.results.append({"kind": variant, "source": "formula", "dims": formula.dims})
     if not args.formula_only:
-        stabs = oracle_dims(spec, COHOMOLOGY, args.p_max, _schedule_for(n, args))
+        stabs = oracle_dims(spec, kind, args.p_max, _schedule_for(n, args))
         dims = [int(v) for v in stabs]
-        report.results.append({"kind": "cohomology", "source": "oracle", "dims": dims})
+        report.results.append({"kind": variant, "source": "oracle", "dims": dims})
         report.stabilization = _stab_meta(stabs)
         report.agreement = dims == formula.dims
     report.duality = duality_flag(spec.a, sigma)
@@ -300,8 +291,8 @@ def cmd_verify(args) -> RunReport:
     agreement = True
     stabs_all = []
     for variant in kinds:
-        formula = (hh_dims if variant == "homology" else coh_dims)(spec.a, sigma, args.p_max)
-        kind = HOMOLOGY if variant == "homology" else COHOMOLOGY
+        kind, formula_of = UNTWISTED[variant]
+        formula = formula_of(spec.a, sigma, args.p_max)
         stabs = oracle_dims(spec, kind, args.p_max, _schedule_for(n, args))
         dims = [int(v) for v in stabs]
         stabs_all.extend(stabs)
@@ -356,8 +347,8 @@ def cmd_selftest(args) -> RunReport:
 
 
 COMMANDS = {
-    "hh": cmd_hh,
-    "coh": cmd_coh,
+    "hh": cmd_untwisted,
+    "coh": cmd_untwisted,
     "twisted": cmd_twisted,
     "invariants": cmd_invariants,
     "group": cmd_group,

@@ -230,11 +230,6 @@ def spots(p: int):
     return [((p - k) // 2, k) for k in range(min(p, 3) + 1) if (p - k) % 2 == 0]
 
 
-def _space(kind: ComplexKind, p: int, bound: int) -> TruncatedSpace:
-    copies = sum(len(BASIS[k]) for _, k in spots(p))
-    return TruncatedSpace(kind.field_order, copies, bound)
-
-
 def _copy_index(kind_spots):
     out = {}
     c = 0
@@ -315,67 +310,67 @@ def assemble_total_matrix(spec: GWASpec, kind: ComplexKind, p: int,
     is the cochain differential delta_p : C^p -> C^{p+1}.  The horizontal and
     vertical families anticommute, so no interleaving signs are needed.
     """
-    if kind.variant == "homology":
-        dom_spots, cod_spots = spots(p), spots(p - 1)
-    else:
-        dom_spots, cod_spots = spots(p), spots(p + 1)
-    dom_map, dom_copies = _copy_index(dom_spots)
-    cod_map, cod_copies = _copy_index(cod_spots)
+    return _assemble(spec, kind, spots, p, b_dom, b_cod)
+
+
+def _assemble_single_row(spec: GWASpec, kind: ComplexKind, k: int,
+                         b_dom: int, b_cod: int) -> TruncatedMap:
+    """Row differential only (no vertical part) out of wedge degree k."""
+    return _assemble(spec, kind, _row_spots, k, b_dom, b_cod)
+
+
+def _row_spots(k: int):
+    """The one spot of row 0 in wedge degree k; none outside 0..3."""
+    return [(0, k)] if 0 <= k <= 3 else []
+
+
+def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
+              b_dom: int, b_cod: int) -> TruncatedMap:
+    """Weight-zero matrix of the differential out of degree p: from the sum
+    of the components at `spots_of(p)` to those at `spots_of(p - 1)`
+    (homology) or `spots_of(p + 1)` (cohomology).
+
+    The routes out of a spot (i, k) are the row differential to (i, k-1) and
+    the vertical one to (i-1, k+1); row 0 has no vertical route, so a single
+    row's spots give the row differential alone.
+    """
+    homology = kind.variant == "homology"
+    dom_map, dom_copies = _copy_index(spots_of(p))
+    cod_map, cod_copies = _copy_index(spots_of(p - 1 if homology else p + 1))
     dom_space = TruncatedSpace(kind.field_order, dom_copies, b_dom)
     cod_space = TruncatedSpace(kind.field_order, cod_copies, b_cod)
     rows = [[Fraction(0)] * dom_space.dim for _ in range(cod_space.dim)]
     dce = _dce_terms(spec)
     df = _df_terms(spec)
     bim = CoefficientBimodule(spec, kind.twist)
-
-    if kind.variant == "homology":
-        # m (x) (u e_J v) |-> (v |> m <| u) (x) e_J.
-        for (spot, slot), copy_dom in dom_map.items():
-            i, k = spot
-            pref = _prefactor(spec, -slot_weight(slot))
-            routes = [((i, k - 1), dce[slot])] if k >= 1 else []
-            if i >= 1:
-                routes.append((((i - 1), k + 1), df[slot]))
-            for target_spot, terms in routes:
-                for u, target_slot, v in terms:
-                    key = (target_spot, target_slot)
-                    if key not in cod_map:
-                        continue
-                    value = _coefficient_action(bim, v, pref, u)
-                    g_poly = _poly_at(value, -slot_weight(target_slot))
-                    _fill_block(rows, dom_space, cod_space, copy_dom,
-                                cod_map[key], g_poly, _element_weight(v), spec)
-    else:
-        # delta f = f o D: expand D on each codomain slot and read off which
-        # domain slots feed it; (delta f)(u e_I v) = u |> f(e_I) <| v.
-        for (spot, slot), copy_cod in cod_map.items():
-            i, k = spot
-            routes = [((i, k - 1), dce[slot])] if k >= 1 else []
-            if i >= 1:
-                routes.append((((i - 1), k + 1), df[slot]))
-            for source_spot, terms in routes:
-                for u, source_slot, v in terms:
-                    key = (source_spot, source_slot)
-                    if key not in dom_map:
-                        continue
-                    pref = _prefactor(spec, slot_weight(source_slot))
-                    value = _coefficient_action(bim, u, pref, v)
-                    g_poly = _poly_at(value, slot_weight(slot))
-                    _fill_block(rows, dom_space, cod_space, dom_map[key],
-                                copy_cod, g_poly, _element_weight(u), spec)
+    # Homology reads the routes from the domain's spots:
+    # m (x) (u e_J v) |-> (v |> m <| u) (x) e_J.  Cohomology reads them from
+    # the codomain's, as delta f = f o D, and finds the domain slots feeding
+    # each: (delta f)(u e_I v) = u |> f(e_I) <| v.
+    sign = -1 if homology else 1
+    here, there = (dom_map, cod_map) if homology else (cod_map, dom_map)
+    for (spot, slot), copy in here.items():
+        i, k = spot
+        routes = [((i, k - 1), dce[slot])] if k >= 1 else []
+        if i >= 1:
+            routes.append(((i - 1, k + 1), df[slot]))
+        for route_spot, terms in routes:
+            for u, route_slot, v in terms:
+                other = there.get((route_spot, route_slot))
+                if other is None:
+                    continue
+                if homology:
+                    left, right, dom_slot, cod_slot = v, u, slot, route_slot
+                    copy_dom, copy_cod = copy, other
+                else:
+                    left, right, dom_slot, cod_slot = u, v, route_slot, slot
+                    copy_dom, copy_cod = other, copy
+                pref = _prefactor(spec, sign * slot_weight(dom_slot))
+                value = _coefficient_action(bim, left, pref, right)
+                g_poly = _poly_at(value, sign * slot_weight(cod_slot))
+                _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly,
+                            _element_weight(left), spec)
     return TruncatedMap(dom_space, cod_space, rows)
-
-
-@dataclass
-class WeightZeroChain:
-    """Assembled weight-zero total differentials up to a degree cap."""
-
-    spec: GWASpec
-    kind: ComplexKind
-    p_max: int
-    bound: int
-    spaces: list
-    differentials: list  # differentials[p]: out of degree p, margin bounds
 
 
 def _check_d_squared(kind: ComplexKind, incoming: list, outgoing: list) -> None:
@@ -397,9 +392,9 @@ def _check_d_squared(kind: ComplexKind, incoming: list, outgoing: list) -> None:
 
 
 def build_differentials(spec: GWASpec, kind: ComplexKind, p_max: int,
-                        bound: int) -> WeightZeroChain:
-    """Assemble all total differentials for degrees <= p_max and verify that
-    consecutive ones compose to zero exactly.
+                        bound: int) -> list[TruncatedMap]:
+    """The total differentials out of degrees 0..p_max at domain bound
+    `bound`, after checking exactly that consecutive ones compose to zero.
 
     Each degree is assembled once, at the larger bounds; the differentials
     at `bound` are sliced from it (see `TruncatedMap.truncate`).
@@ -411,9 +406,7 @@ def build_differentials(spec: GWASpec, kind: ComplexKind, p_max: int,
            for p in range(p_max + 1)]
     near = [m.truncate(bound, bound + margin) for m in far]
     _check_d_squared(kind, far, near)
-    return WeightZeroChain(spec, kind, p_max, bound,
-                           [_space(kind, p, bound) for p in range(p_max + 1)],
-                           near)
+    return near
 
 
 def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
@@ -510,50 +503,10 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     ]
 
 
-def _row_space(kind: ComplexKind, k: int, bound: int) -> TruncatedSpace:
-    if not 0 <= k <= 3:
-        return TruncatedSpace(kind.field_order, 0, bound)
-    return TruncatedSpace(kind.field_order, len(BASIS[k]), bound)
-
-
 def _empty_into(cod: TruncatedSpace) -> TruncatedMap:
     """The map into `cod` from the zero space: no boundaries."""
     dom = TruncatedSpace(cod.field_order, 0, 0)
     return TruncatedMap(dom, cod, [[] for _ in range(cod.dim)])
-
-
-def _assemble_single_row(spec: GWASpec, kind: ComplexKind, k: int,
-                         b_dom: int, b_cod: int) -> TruncatedMap:
-    """Row differential only (no vertical part) out of wedge degree k."""
-    dce = _dce_terms(spec)
-    bim = CoefficientBimodule(spec, kind.twist)
-    dom_space = _row_space(kind, k, b_dom)
-    if kind.variant == "homology":
-        cod_space = _row_space(kind, k - 1, b_cod)
-    else:
-        cod_space = _row_space(kind, k + 1, b_cod)
-    rows = [[Fraction(0)] * dom_space.dim for _ in range(cod_space.dim)]
-    if kind.variant == "homology":
-        if k >= 1:
-            cod_slots = {slot: t for t, slot in enumerate(BASIS[k - 1])}
-            for c_dom, slot in enumerate(BASIS[k]):
-                pref = _prefactor(spec, -slot_weight(slot))
-                for u, target, v in dce[slot]:
-                    value = _coefficient_action(bim, v, pref, u)
-                    g_poly = _poly_at(value, -slot_weight(target))
-                    _fill_block(rows, dom_space, cod_space, c_dom,
-                                cod_slots[target], g_poly, _element_weight(v), spec)
-    else:
-        if k <= 2:
-            dom_slots = {slot: t for t, slot in enumerate(BASIS[k])}
-            for c_cod, slot in enumerate(BASIS[k + 1]):
-                for u, source, v in dce[slot]:
-                    pref = _prefactor(spec, slot_weight(source))
-                    value = _coefficient_action(bim, u, pref, v)
-                    g_poly = _poly_at(value, slot_weight(slot))
-                    _fill_block(rows, dom_space, cod_space, dom_slots[source],
-                                c_cod, g_poly, _element_weight(u), spec)
-    return TruncatedMap(dom_space, cod_space, rows)
 
 
 # Diagnostics beyond the dimension tables ------------------------------------

@@ -28,17 +28,6 @@ class DimReport:
     agreement: bool | None = None
     meta: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "dims": list(self.dims),
-            "source": self.source,
-            "kind": self.kind,
-            "agreement": self.agreement,
-            "meta": dict(self.meta),
-        }
-
 
 def _tail(head: list[int], tail_value: int, p_max: int) -> list[int]:
     out = list(head) + [tail_value] * (p_max + 1 - len(head))

@@ -2,16 +2,21 @@
 
 A truncated space is a finite sum of copies of k[h] cut off at a degree
 bound; every dimension count in the package reduces to ranks of exact
-matrices between such spaces.  Ranks over the rationals and over a
+matrices between such spaces.  How to compute over a field is decided once
+per field order (`_backend`).  Ranks over the rationals and over a
 quadratic cyclotomic field are computed fraction-free: rows are scaled to
 integers (or integer pairs) and eliminated with the Bareiss kernels of
 `gwa._rankcore_py`.  The exact d o d = 0 test (`compose_is_zero`) scales the
-outer map's rows and the inner map's columns the same way.  The scaling
-contract: each row or column is multiplied by a positive integer, the lcm of
+outer map's rows the same way, each by its own integer, and the whole inner
+matrix by one.  Over a quadratic field it then runs on integers too: each
+outer entry becomes the 2 x 2 integer block of multiplication by it, and
+each inner entry its two coordinates.  The scaling contract: each row, and
+the inner matrix as a whole, is multiplied by a positive integer, the lcm of
 its denominators, and no `Fraction` is built on the way; so ranks, and
 whether a product is zero, are unchanged.  Every other elimination -- ranks
 over cyclotomic fields of higher degree, kernels, reduction modulo a span --
-is one forward sweep with unit pivots in the field itself (`field_echelon`).
+is one forward sweep with unit pivots in the field itself (`field_echelon`),
+and the d o d = 0 test over those fields multiplies in the field.
 
 Truncation never fakes exactness: codomain bounds always leave enough margin
 that a kernel vector of a truncated matrix is a genuine kernel vector, and
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import lcm
 
@@ -66,39 +72,9 @@ class TruncatedMap:
         self.codomain = codomain
         self.rows = rows
 
-    @classmethod
-    def zero(cls, domain: TruncatedSpace, codomain: TruncatedSpace) -> "TruncatedMap":
-        z = Fraction(0)
-        return cls(domain, codomain, [[z] * domain.dim for _ in range(codomain.dim)])
-
     @property
     def field_order(self) -> int | None:
         return self.codomain.field_order or self.domain.field_order
-
-    def column(self, j: int):
-        return [row[j] for row in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.domain.dim)]
-
-    def compose(self, other: "TruncatedMap") -> "TruncatedMap":
-        """self o other, skipping structural zeros (the matrices are banded)."""
-        if other.codomain.dim != self.domain.dim:
-            raise InputError("composition shape mismatch")
-        out = []
-        for row in self.rows:
-            acc = [Fraction(0)] * other.domain.dim
-            for j, c in enumerate(row):
-                if c:
-                    orow = other.rows[j]
-                    for t, v in enumerate(orow):
-                        if v:
-                            acc[t] = acc[t] + c * v
-            out.append(acc)
-        return TruncatedMap(other.domain, self.codomain, out)
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
 
     def truncate(self, b_dom: int, b_cod: int) -> "TruncatedMap":
         """The same map between the spaces cut off at the smaller bounds.
@@ -187,12 +163,6 @@ def _quad_params(order: int) -> tuple[int, int]:
     return int(phi[1]), int(phi[0])
 
 
-def _coerce_cyclo(v, order) -> Cyclotomic:
-    if isinstance(v, Cyclotomic) and v.order == order:
-        return v
-    return Cyclotomic.from_rational(order, _rational(v, order))
-
-
 def _field(order: int | None) -> int | None:
     """The field order to compute in; None for Q, which Q(zeta_1) and
     Q(zeta_2) are."""
@@ -201,24 +171,80 @@ def _field(order: int | None) -> int | None:
 
 def _to_field(v, order: int | None):
     """`v` as a `Fraction` (order None) or a `Cyclotomic` of that order."""
-    return Fraction(_rational(v)) if order is None else _coerce_cyclo(v, order)
+    if order is None:
+        return Fraction(_rational(v))
+    if isinstance(v, Cyclotomic) and v.order == order:
+        return v
+    return Cyclotomic.from_rational(order, _rational(v, order))
 
 
 # Elimination ----------------------------------------------------------------
+
+
+def _scaled_as_one(rows, scale_row):
+    """`rows` all multiplied by one positive integer: `scale_row` applied to
+    the matrix read as one long row, cut back into rows."""
+    width = len(rows[0]) if rows else 0
+    flat = scale_row([v for row in rows for v in row])
+    return [flat[i * width:(i + 1) * width] for i in range(len(rows))]
+
+
+@lru_cache(maxsize=32)
+def _backend(field_order):
+    """How to compute over the field of `field_order`, decided once per order.
+
+    Returns (eliminate, factors).  `eliminate(rows, ncols)` prepares the
+    rows and returns (rank, pivot_columns, echelon_rows).  `factors(outer,
+    inner)` turns the rows of two matrices into rows A and B over the
+    integers (over the field itself for degree > 2) with A B = 0 exactly when
+    outer o inner = 0.  The Bareiss kernels are looked up on `_kernels` at
+    each call, so a wrapper installed there later still sees every call.
+    """
+    order = _field(field_order)
+    if order is None:
+        def eliminate(rows, ncols):
+            return _kernels.echelon_int([_int_row(row) for row in rows], ncols)
+
+        def factors(outer, inner):
+            return [_int_row(row) for row in outer], _scaled_as_one(inner, _int_row)
+
+    elif euler_phi(order) == 2:
+        b, c = _quad_params(order)
+
+        def eliminate(rows, ncols):
+            return _kernels.echelon_quad([_pair_row(row, order) for row in rows], ncols, b, c)
+
+        def factors(outer, inner):
+            # a0 + a1 z acts on the coordinates (x0, x1) of x0 + x1 z as the
+            # block [[a0, -c a1], [a1, a0 - b a1]], since z^2 = -b z - c.
+            blocks = []
+            for row in outer:
+                pairs = _pair_row(row, order)
+                blocks.append([v for a0, a1 in pairs for v in (a0, -c * a1)])
+                blocks.append([v for a0, a1 in pairs for v in (a1, a0 - b * a1)])
+            scaled = _scaled_as_one(inner, lambda row: _pair_row(row, order))
+            return blocks, [[e[k] for e in row] for row in scaled for k in (0, 1)]
+
+    else:
+        def eliminate(rows, ncols):
+            pivots, ech = field_echelon(rows, ncols, order)
+            return len(pivots), pivots, ech
+
+        def in_field(rows):
+            return [[_to_field(v, order) if v else 0 for v in row] for row in rows]
+
+        def factors(outer, inner):
+            return in_field(outer), in_field(inner)
+
+    return eliminate, factors
 
 
 def rank_rows(rows, ncols, field_order=None) -> int:
     """Rank of a matrix given as rows of exact scalars."""
     if not rows or ncols == 0:
         return 0
-    order = _field(field_order)
-    if order is None:
-        return _kernels.echelon_int([_int_row(row) for row in rows], ncols)[0]
-    if euler_phi(order) == 2:
-        b, c = _quad_params(order)
-        pair_rows = [_pair_row(row, order) for row in rows]
-        return _kernels.echelon_quad(pair_rows, ncols, b, c)[0]
-    return len(field_echelon(rows, ncols, order)[0])
+    eliminate, _ = _backend(field_order)
+    return eliminate(rows, ncols)[0]
 
 
 def field_echelon(rows, ncols, field_order=None, columns=None):
@@ -390,39 +416,24 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
 def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
     """Exact check that outer o inner = 0.
 
-    Scaling outer's rows and inner's columns by nonzero rationals multiplies
-    the product by invertible diagonals, so the zero test can run on
-    integerized data; over a quadratic cyclotomic field entries become
-    integer pairs and the product is taken in the ring of integers.
+    The field's backend turns outer's rows and inner's matrix into integer
+    rows A and B (field rows for degree > 2) with A B = 0 exactly when the
+    product is zero; see the scaling contract in the module docstring.  Each
+    row of A B is accumulated from the rows of B at the nonzeros of a row of
+    A, so only structural nonzeros are multiplied.
     """
     if inner.codomain.dim != outer.domain.dim:
         raise InputError("composition shape mismatch")
-    order = _field(outer.field_order or inner.field_order)
-    if order is not None and euler_phi(order) > 2:
-        return outer.compose(inner).is_zero()
-    if order is None:
-        a_rows = [_int_row(row) for row in outer.rows]
-        b_cols = [_int_row(col) for col in inner.columns()]
-        for row in a_rows:
-            support = [(j, c) for j, c in enumerate(row) if c]
-            for col in b_cols:
-                if sum(c * col[j] for j, c in support):
-                    return False
-        return True
-    quad_mul = _kernels._quad_mul
-    b, c = _quad_params(order)
-    a_rows = [_pair_row(row, order) for row in outer.rows]
-    b_cols = [_pair_row(col, order) for col in inner.columns()]
+    _, factors = _backend(outer.field_order or inner.field_order)
+    a_rows, b_rows = factors(outer.rows, inner.rows)
+    b_sparse = [[(t, v) for t, v in enumerate(row) if v] for row in b_rows]
+    width = inner.domain.dim
     for row in a_rows:
-        support = [(j, e) for j, e in enumerate(row) if e[0] or e[1]]
-        for col in b_cols:
-            acc0 = acc1 = 0
-            for j, e in support:
-                w = col[j]
-                if w[0] or w[1]:
-                    m0, m1 = quad_mul(e[0], e[1], w[0], w[1], b, c)
-                    acc0 += m0
-                    acc1 += m1
-            if acc0 or acc1:
-                return False
+        acc = [0] * width
+        for j, c in enumerate(row):
+            if c:
+                for t, v in b_sparse[j]:
+                    acc[t] += c * v
+        if any(acc):
+            return False
     return True

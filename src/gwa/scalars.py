@@ -376,7 +376,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarFieldError(f"cannot parse rational {text!r}") from exc
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)

@@ -4,7 +4,7 @@ import pytest
 
 from gwa.errors import HypothesisError
 from gwa.formulas import coh_dims, duality_flag, group_coh_dims, hh_dims, twisted_dims
-from gwa.poly import Poly, ShiftSigma, degree_invariants, parse_poly
+from gwa.poly import Poly, ShiftSigma, degree_invariants
 
 H = Poly.gen()
 S1 = ShiftSigma(1)
@@ -15,6 +15,9 @@ def test_hh_dims_examples():
     singular = Poly([Fraction(-1, 4), -1, -1])  # -(h+1/2)^2
     assert hh_dims(singular, S1, 4).dims == [1, 0, 1, 1, 1]
     assert hh_dims(H ** 3 - H, S1, 4).dims == [2, 0, 1, 0, 0]
+    rep = hh_dims(H ** 2 - 1, S1, 5)
+    assert (rep.n, rep.d, rep.dims, rep.source, rep.kind) == \
+        (2, 0, [1, 0, 1, 0, 0, 0], "formula", "homology")
 
 
 def test_coh_dims_examples():
@@ -62,10 +65,3 @@ def test_constant_rejected():
     with pytest.raises(HypothesisError):
         twisted_dims(H, S1, "sideways")
 
-
-def test_report_dict_shape():
-    rep = hh_dims(parse_poly("h^2-1"), S1, 5)
-    payload = rep.to_dict()
-    assert payload["n"] == 2 and payload["d"] == 0
-    assert payload["dims"] == [1, 0, 1, 0, 0, 0]
-    assert payload["source"] == "formula" and payload["kind"] == "homology"

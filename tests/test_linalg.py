@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -100,10 +101,14 @@ def test_codim_stabilization_start_independent():
         codim_of_image([op], Schedule(start=20))
 
 
+def zero_map(dom, cod):
+    return TruncatedMap(dom, cod, [[Fraction(0)] * dom.dim for _ in range(cod.dim)])
+
+
 def test_homology_dim_trivial_cases():
     space = TruncatedSpace(None, 1, 6)
-    zero = TruncatedMap.zero(space, TruncatedSpace(None, 1, 8))
-    zero_in = TruncatedMap.zero(TruncatedSpace(None, 1, 4), space)
+    zero = zero_map(space, TruncatedSpace(None, 1, 8))
+    zero_in = zero_map(TruncatedSpace(None, 1, 4), space)
     assert homology_dim_at(zero, zero_in) == space.dim - 0  # D+1 with no boundaries
 
     ident = TruncatedMap(space, space, [[1 if i == j else 0 for j in range(space.dim)]
@@ -205,7 +210,7 @@ def test_compose_is_zero_detects_nonzero():
     s1 = TruncatedSpace(None, 1, 2)
     ident = TruncatedMap(s1, s1, [[1 if i == j else 0 for j in range(3)] for i in range(3)])
     assert not compose_is_zero(ident, ident)
-    zero = TruncatedMap.zero(s1, s1)
+    zero = zero_map(s1, s1)
     assert compose_is_zero(zero, ident)
     assert compose_is_zero(ident, zero)
 
@@ -233,7 +238,7 @@ def homology_dim_reference(dp, dnext):
     zero = Fraction(0)
     kernel = [v + [zero] * (ambient - len(v))
               for v in kernel_raw(dp.rows, dp.domain.dim, order)]
-    n_cols = dnext.columns()
+    n_cols = [list(col) for col in zip(*dnext.rows)]
     return (rank_rows(kernel + n_cols, ambient, order)
             - rank_rows(n_cols, ambient, order))
 
@@ -375,10 +380,26 @@ def _as_map(rows, ncols, order):
     return TruncatedMap(dom, cod, rows)
 
 
-@pytest.mark.parametrize("order", [None, 3, 4, 6], ids=["Q", "zeta3", "zeta4", "zeta6"])
+def _field_product_is_zero(outer, inner, order):
+    """Whether outer times inner is zero, by the dense product in the field."""
+    return not any(
+        sum((_in_field(a, order) * _in_field(col[j], order) for j, a in enumerate(row)),
+            Fraction(0))
+        for row in outer for col in zip(*inner))
+
+
+def _denominator(v):
+    """The lcm of the denominators of v's rational coefficients."""
+    return lcm(*(Fraction(c).denominator
+                 for c in (v.coeffs if isinstance(v, Cyclotomic) else (v,))))
+
+
+@pytest.mark.parametrize("order", [None, 3, 4, 5, 6],
+                         ids=["Q", "zeta3", "zeta4", "zeta5", "zeta6"])
 def test_compose_is_zero_matches_the_field_product(order):
     rng = random.Random(43 if order is None else 43 + order)
     outcomes = set()
+    uneven_zero_products = 0
     for trial in range(60):
         nr, nc = rng.randint(1, 5), rng.randint(2, 6)
         outer, inner = _zero_product_pair(rng, order, nr, nc)
@@ -390,14 +411,102 @@ def test_compose_is_zero_matches_the_field_product(order):
             inner = _mixed_rows(rng, order, nc, rng.randint(1, 4), other_orders=(order or 4,))
         a = _as_map(outer, nc, order)
         b = _as_map(inner, len(inner[0]), order)
-        expected = a.compose(b).is_zero()
+        expected = _field_product_is_zero(outer, inner, order)
         assert compose_is_zero(a, b) == expected
         outcomes.add(expected)
+        # Inner rows with different denominators: a zero product that scaling
+        # inner other than by one integer for the whole matrix would break.
+        uneven_zero_products += expected and len(
+            {lcm(*map(_denominator, row)) for row in inner}) > 1
     assert outcomes == {True, False}
+    assert uneven_zero_products >= 3, uneven_zero_products
     if order is not None:
         # A product whose only nonzero coefficient is that of zeta.
         one = _as_map([[1]], 1, order)
         assert not compose_is_zero(one, _as_map([[zeta(order)]], 1, order))
+
+
+def echelon_int_reference(rows, ncols):
+    """Integer Bareiss that updates every cell from the pivot column on."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    pivots = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r == nr:
+            break
+        best = -1
+        best_abs = 0
+        for i in range(r, nr):
+            v = m[i][col]
+            if v and (best < 0 or abs(v) < best_abs):
+                best, best_abs = i, abs(v)
+        if best < 0:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][col]
+        for i in range(r + 1, nr):
+            f = m[i][col]
+            if f or piv != prev:
+                for j in range(col, ncols):
+                    m[i][j] = (piv * m[i][j] - f * m[r][j]) // prev
+        pivots.append(col)
+        prev = piv
+        r += 1
+    return r, pivots, m[:r]
+
+
+def test_echelon_int_matches_reference():
+    rng = random.Random(17)
+    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0}
+    for _ in range(120):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(nc)]
+                for _ in range(nr)]
+        if nr > 2 and rng.random() < 0.5:
+            # An integer combination of two rows makes the matrix rank-deficient.
+            u, v = rng.randint(-3, 3), rng.randint(1, 3)
+            rows[-1] = [u * x + v * y for x, y in zip(rows[0], rows[1])]
+        if nc > 1 and rng.random() < 0.3:
+            zero = rng.randrange(nc)
+            for row in rows:
+                row[zero] = 0
+        got = _kernels.echelon_int(rows, nc)
+        assert got == echelon_int_reference(rows, nc)
+        rank, pivots, ech = got
+        seen["deficient"] += rank < min(nr, nc)
+        seen["zero_column"] += any(all(row[j] == 0 for row in rows) for j in range(nc))
+        seen["nontrivial_prev"] += rank >= 2 and abs(ech[0][pivots[0]]) != 1
+    assert all(seen.values()), seen
+
+
+def test_eliminations_look_the_kernels_up_at_call_time(monkeypatch):
+    """Spies set on the kernel module after the field backends are in use
+    see every Bareiss call of `rank_rows` and `homology_dim_at`; a
+    reference kept from before the patch would bypass them."""
+    spec = GWASpec(H ** 2 - 1, S1)
+    kinds = {"echelon_int": ComplexKind("homology"),
+             "echelon_quad": ComplexKind("homology", Torus(zeta(3)))}
+    for kind in kinds.values():
+        rank_rows([[1]], 1, kind.field_order)
+    calls = []
+    for name in kinds:
+        def spy(*args, _real=getattr(_kernels, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    assert rank_rows([[1, 2], [2, 4]], 2) == 1
+    assert rank_rows([[zeta(3), 1], [zeta(3) ** 2, zeta(3)]], 2, 3) == 1
+    assert calls == ["echelon_int", "echelon_quad"]
+    for name, kind in kinds.items():
+        m = spec.n + 1
+        dp = assemble_total_matrix(spec, kind, 1, 2, 2 + m)
+        dnext = assemble_total_matrix(spec, kind, 2, 2 + m, 2 + 2 * m)
+        calls.clear()
+        homology_dim_at(dp, dnext)
+        assert calls == [name] * 3
 
 
 def _quad_mul_reference(a0, a1, b0, b1, b, c):
