@@ -61,7 +61,6 @@ from .invariants import (
     verify_invariant_identity,
 )
 from .linalg import (
-    KERNEL_IMPLEMENTATION,
     Schedule,
     StabilizedDim,
     TruncatedMap,

@@ -3,7 +3,7 @@
 Bareiss-style row echelon over the integers and over the ring of integers of
 a quadratic cyclotomic field (enough for the twists by -1, zeta3, zeta4 and
 zeta6 that appear in practice).  `gwa.linalg` loads this module as
-`_kernels` and reports `IMPLEMENTATION` as its kernel implementation.
+`_kernels`.
 
 Entries after stage r of the Bareiss sweep are r x r minors of the input, so
 every division below is exact; this is what keeps coefficient growth under
@@ -11,9 +11,6 @@ control compared to naive rational elimination.
 """
 
 from __future__ import annotations
-
-IMPLEMENTATION = "python"
-
 
 def echelon_int(rows, ncols):
     """Fraction-free row echelon of an integer matrix.

@@ -5,7 +5,9 @@ Commands map one-to-one onto the result families: `hh` and `coh` for the
 untwisted dimension tables, `twisted` for diagonal twists, `invariants` for
 the invariant-subalgebra construction, `group` for the finite-group count,
 `verify` to cross-validate formula against oracle, and `selftest` for a
-seeded property battery.  Exit codes: 0 success, 2 invalid input,
+seeded property battery.  `hh`, `coh`, `twisted` and `verify` are one table
+command over different variant lists, and only they take the truncation
+schedule flags.  Exit codes: 0 success, 2 invalid input,
 3 hypothesis violation, 4 stabilization failure, 5 formula/oracle
 disagreement.
 """
@@ -20,6 +22,7 @@ import shlex
 import sys
 import time
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -49,7 +52,7 @@ from .invariants import (
     twisted_h0_bruteforce,
     verify_invariant_identity,
 )
-from .linalg import KERNEL_IMPLEMENTATION, Schedule
+from .linalg import Schedule
 from .poly import Poly, ShiftSigma, degree_invariants, format_poly, parse_poly
 from .scalars import parse_rational, zeta
 
@@ -117,20 +120,20 @@ class RunReport:
 
 
 def _schedule_for(n: int, args) -> Schedule:
-    default = Schedule.default(n, getattr(args, "d_max", None))
+    default = Schedule.default(n, args.d_max)
     d_max = default.d_max
-    start = getattr(args, "d_start", None)
-    if start is None:
-        start = default.start
+    start = default.start if args.d_start is None else args.d_start
     if start < 0 or d_max < 0:
         raise InputError(f"truncation bounds must be nonnegative (start {start}, cap {d_max})")
     if start > d_max:
         raise InputError(f"schedule start {start} exceeds the truncation cap {d_max}")
-    window = 3 if getattr(args, "paranoid", False) else 2
+    window = 3 if args.paranoid else 2
     return Schedule(start=start, window=window, d_max=d_max)
 
 
-def _parse_spec(args) -> tuple[GWASpec, ShiftSigma]:
+def _start_report(args, **echo) -> tuple[RunReport, GWASpec]:
+    """Parse the algebra and --p-max, and open the command's report: the
+    input echo (`a`, `h0`, then `echo`) and n, d."""
     a = parse_poly(args.a)
     h0 = parse_rational(args.h0)
     if not h0:
@@ -138,107 +141,79 @@ def _parse_spec(args) -> tuple[GWASpec, ShiftSigma]:
     sigma = ShiftSigma(h0)
     if a.is_constant():
         raise HypothesisError("a must be non-constant")
-    return GWASpec(a, sigma), sigma
-
-
-def _twist_scalar(args):
-    order = args.twist_order
-    power = args.twist_power
-    if order < 1:
-        raise InputError("twist order must be positive")
-    w = zeta(order, power)
-    if w.is_rational():
-        return w.rational_value()
-    return w
-
-
-def _stab_meta(stabs) -> dict:
-    return {
-        "stabilized_at": max(s.stabilized_at for s in stabs),
-        "history": [[list(pair) for pair in s.history] for s in stabs],
-    }
-
-
-#: The untwisted complex and closed-form table of each variant.
-UNTWISTED = {"homology": (HOMOLOGY, hh_dims), "cohomology": (COHOMOLOGY, coh_dims)}
-
-
-def cmd_untwisted(args) -> RunReport:
-    """`hh` or `coh`: the formula table of one variant and, unless
-    --formula-only, the oracle's."""
-    variant = "homology" if args.command == "hh" else "cohomology"
-    kind, formula_of = UNTWISTED[variant]
-    spec, sigma = _parse_spec(args)
+    if args.p_max < 0:
+        raise InputError(f"--p-max must be nonnegative, got {args.p_max}")
     report = RunReport(SCHEMA_VERSION, args.command,
-                       {"a": format_poly(spec.a), "h0": str(sigma.h0)})
-    n, d = degree_invariants(spec.a, sigma)
-    report.n, report.d = n, d
-    formula = formula_of(spec.a, sigma, args.p_max)
-    report.results.append({"kind": variant, "source": "formula", "dims": formula.dims})
-    if not args.formula_only:
-        stabs = oracle_dims(spec, kind, args.p_max, _schedule_for(n, args))
-        dims = [int(v) for v in stabs]
-        report.results.append({"kind": variant, "source": "oracle", "dims": dims})
-        report.stabilization = _stab_meta(stabs)
-        report.agreement = dims == formula.dims
-    report.duality = duality_flag(spec.a, sigma)
-    return report
+                       {"a": format_poly(a), "h0": str(h0), **echo})
+    report.n, report.d = degree_invariants(a, sigma)
+    return report, GWASpec(a, sigma)
 
 
-def cmd_twisted(args) -> RunReport:
-    spec, sigma = _parse_spec(args)
-    w = _twist_scalar(args)
+def _twist(args) -> Torus:
+    if args.twist_order < 1:
+        raise InputError("twist order must be positive")
+    w = zeta(args.twist_order, args.twist_power)
+    if w.is_rational():
+        w = w.rational_value()
     if w == 1:
         raise HypothesisError("the twist must differ from the identity (w != 1)")
-    report = RunReport(
-        SCHEMA_VERSION,
-        "twisted",
-        {
-            "a": format_poly(spec.a),
-            "h0": str(sigma.h0),
-            "twist_order": args.twist_order,
-            "twist_power": args.twist_power,
-        },
-    )
-    n, d = degree_invariants(spec.a, sigma)
-    report.n, report.d = n, d
-    variants = ["homology", "cohomology"] if args.kind == "both" else [args.kind]
-    agreement = True
-    stabs_all = []
-    for variant in variants:
-        formula = twisted_dims(spec.a, sigma, variant, args.p_max)
-        report.results.append(
-            {"kind": f"twisted-{variant}", "source": "formula", "dims": formula.dims}
-        )
-        if not args.formula_only:
-            kind = ComplexKind(variant, Torus(w))
-            stabs = oracle_dims(spec, kind, args.p_max, _schedule_for(n, args))
-            dims = [int(v) for v in stabs]
-            stabs_all.extend(stabs)
-            report.results.append(
-                {"kind": f"twisted-{variant}", "source": "oracle", "dims": dims}
-            )
-            agreement = agreement and dims == formula.dims
-    if not args.formula_only:
-        report.agreement = agreement
-        report.stabilization = _stab_meta(stabs_all)
+    return Torus(w)
+
+
+def _variants(args) -> list[tuple[str, ComplexKind, Callable]]:
+    """(result kind, complex, closed-form table) of each variant a table
+    command reports.  Built per job, so each table is the module attribute
+    of the moment and a wrapper put on it sees the call."""
+    names = ["homology", "cohomology"] if args.kind == "both" else [args.kind]
+    if args.command != "twisted":
+        tables = {"homology": (HOMOLOGY, hh_dims), "cohomology": (COHOMOLOGY, coh_dims)}
+        return [(name, *tables[name]) for name in names]
+    twist = _twist(args)
+    return [(f"twisted-{name}", ComplexKind(name, twist),
+             lambda a, s, p_max, name=name: twisted_dims(a, s, name, p_max))
+            for name in names]
+
+
+#: The input echo keys each table command adds after `a` and `h0`.
+TABLE_ECHO = {"verify": ("kind",), "twisted": ("twist_order", "twist_power")}
+
+
+def cmd_table(args) -> RunReport:
+    """`hh`, `coh`, `verify` and `twisted`: per variant, the formula table
+    and, unless --formula-only, the oracle's."""
+    report, spec = _start_report(
+        args, **{key: getattr(args, key) for key in TABLE_ECHO.get(args.command, ())})
+    variants = _variants(args)
+    schedule = None if args.formula_only else _schedule_for(report.n, args)
+    stabs, agree = [], []
+    for label, kind, table in variants:
+        formula = table(spec.a, spec.sigma, args.p_max).dims
+        report.results.append({"kind": label, "source": "formula", "dims": formula})
+        if schedule is None:
+            continue
+        oracle = oracle_dims(spec, kind, args.p_max, schedule)
+        dims = [int(v) for v in oracle]
+        report.results.append({"kind": label, "source": "oracle", "dims": dims})
+        stabs.extend(oracle)
+        agree.append(dims == formula)
+    if schedule is not None:
+        report.agreement = all(agree)
+        report.stabilization = {
+            "stabilized_at": max(s.stabilized_at for s in stabs),
+            "history": [[list(pair) for pair in s.history] for s in stabs],
+        }
+    if args.command != "twisted":
+        report.duality = duality_flag(spec.a, spec.sigma)
     return report
 
 
 def cmd_invariants(args) -> RunReport:
-    spec, sigma = _parse_spec(args)
+    report, spec = _start_report(args, r=args.r)
     if args.r < 1:
         raise InputError("r must be >= 1")
-    report = RunReport(
-        SCHEMA_VERSION,
-        "invariants",
-        {"a": format_poly(spec.a), "h0": str(sigma.h0), "r": args.r},
-    )
-    n, d = degree_invariants(spec.a, sigma)
-    report.n, report.d = n, d
     fixed = invariant_gwa(spec, args.r)
     identity_ok = verify_invariant_identity(spec, args.r)
-    table = hh_dims(fixed.a, sigma, args.p_max)
+    table = hh_dims(fixed.a, spec.sigma, args.p_max)
     report.results.append(
         {"kind": "invariant-homology", "source": "formula", "dims": table.dims}
     )
@@ -246,7 +221,7 @@ def cmd_invariants(args) -> RunReport:
         "a_tilde": format_poly(fixed.a, var="H"),
         "identity_check": identity_ok,
         "hh0_invariant": table.dims[0],
-        "expected_hh0": args.r * n - 1,
+        "expected_hh0": args.r * report.n - 1,
     }
     if not identity_ok:
         raise InternalConsistencyError("invariant identity check failed")
@@ -254,54 +229,24 @@ def cmd_invariants(args) -> RunReport:
 
 
 def cmd_group(args) -> RunReport:
-    spec, sigma = _parse_spec(args)
     if args.classes_file:
-        with open(args.classes_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.classes_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise InputError(f"cannot read the classes file {args.classes_file!r}: {reason}") from None
     else:
         text = (args.classes or "").replace(";", "\n")
+    report, spec = _start_report(args, classes=text.strip())
     data = GroupClassData.parse(text)
-    report = RunReport(
-        SCHEMA_VERSION,
-        "group",
-        {"a": format_poly(spec.a), "h0": str(sigma.h0), "classes": text.strip()},
-    )
-    n, d = degree_invariants(spec.a, sigma)
-    report.n, report.d = n, d
-    result = group_report(spec, data)
+    result = group_report(spec, data, args.p_max)
     report.results.append(
         {"kind": "group-cohomology", "source": "formula", "dims": result.dims}
     )
     report.extra = {"a1": data.a1, "a2": data.a2}
     if "cyclic_crosscheck" in result.meta:
         report.extra["cyclic_crosscheck"] = result.meta["cyclic_crosscheck"]
-    return report
-
-
-def cmd_verify(args) -> RunReport:
-    spec, sigma = _parse_spec(args)
-    report = RunReport(
-        SCHEMA_VERSION,
-        "verify",
-        {"a": format_poly(spec.a), "h0": str(sigma.h0), "kind": args.kind},
-    )
-    n, d = degree_invariants(spec.a, sigma)
-    report.n, report.d = n, d
-    kinds = ["homology", "cohomology"] if args.kind == "both" else [args.kind]
-    agreement = True
-    stabs_all = []
-    for variant in kinds:
-        kind, formula_of = UNTWISTED[variant]
-        formula = formula_of(spec.a, sigma, args.p_max)
-        stabs = oracle_dims(spec, kind, args.p_max, _schedule_for(n, args))
-        dims = [int(v) for v in stabs]
-        stabs_all.extend(stabs)
-        report.results.append({"kind": variant, "source": "formula", "dims": formula.dims})
-        report.results.append({"kind": variant, "source": "oracle", "dims": dims})
-        agreement = agreement and dims == formula.dims
-    report.agreement = agreement
-    report.duality = duality_flag(spec.a, sigma)
-    report.stabilization = _stab_meta(stabs_all)
     return report
 
 
@@ -334,7 +279,6 @@ def cmd_selftest(args) -> RunReport:
                        int(twisted_h0_bruteforce(spec, Fraction(-1))) == spec.n))
     passed = sum(1 for _, ok in checks if ok)
     report.extra = {
-        "kernel_implementation": KERNEL_IMPLEMENTATION,
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
         "passed": passed,
         "total": len(checks),
@@ -347,25 +291,30 @@ def cmd_selftest(args) -> RunReport:
 
 
 COMMANDS = {
-    "hh": cmd_untwisted,
-    "coh": cmd_untwisted,
-    "twisted": cmd_twisted,
+    "hh": cmd_table,
+    "coh": cmd_table,
+    "twisted": cmd_table,
     "invariants": cmd_invariants,
     "group": cmd_group,
-    "verify": cmd_verify,
+    "verify": cmd_table,
     "selftest": cmd_selftest,
 }
 
 
-def _add_common(parser, need_poly=True):
-    if need_poly:
-        parser.add_argument("--a", required=True, help='defining polynomial, e.g. "h^2-1" or "[ -1, 0, 1 ]"')
-        parser.add_argument("--h0", default="1", help="shift step, nonzero rational (default 1)")
+def _add_input(parser) -> None:
+    parser.add_argument("--a", required=True, help='defining polynomial, e.g. "h^2-1" or "[ -1, 0, 1 ]"')
+    parser.add_argument("--h0", default="1", help="shift step, nonzero rational (default 1)")
     parser.add_argument("--p-max", type=int, default=5, help="largest degree reported")
+
+
+def _add_schedule(parser) -> None:
     parser.add_argument("--d-start", type=int, default=None, help="truncation schedule start")
     parser.add_argument("--d-max", type=int, default=None, help="truncation cap (default 240)")
     parser.add_argument("--paranoid", action="store_true",
                         help="require three equal consecutive values to stabilize")
+
+
+def _add_output(parser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--csv", action="store_true", help="emit CSV rows")
 
@@ -381,46 +330,50 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run one job per line of FILE concurrently")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("hh", help="homology dimensions")
-    _add_common(p)
-    p.add_argument("--formula-only", action="store_true")
+    def command(name, help_text, *flag_groups):
+        p = sub.add_parser(name, help=help_text)
+        for add in flag_groups:
+            add(p)
+        return p
 
-    p = sub.add_parser("coh", help="cohomology dimensions")
-    _add_common(p)
-    p.add_argument("--formula-only", action="store_true")
+    # The table commands share one namespace: `hh` and `coh` fix `kind`,
+    # and `verify` always runs the oracle.
+    table = (_add_input, _add_schedule, _add_output)
+    for name, variant in (("hh", "homology"), ("coh", "cohomology")):
+        p = command(name, f"{variant} dimensions", *table)
+        p.add_argument("--formula-only", action="store_true")
+        p.set_defaults(kind=variant)
 
-    p = sub.add_parser("twisted", help="dimensions with twisted coefficients")
-    _add_common(p)
+    p = command("twisted", "dimensions with twisted coefficients", *table)
     p.add_argument("--twist-order", type=int, required=True,
                    help="order m of the root of unity")
     p.add_argument("--twist-power", type=int, default=1, help="power of zeta_m (default 1)")
     p.add_argument("--kind", choices=["homology", "cohomology", "both"], default="both")
     p.add_argument("--formula-only", action="store_true")
 
-    p = sub.add_parser("invariants", help="invariant subalgebra under a cyclic action")
-    _add_common(p)
+    p = command("invariants", "invariant subalgebra under a cyclic action",
+                _add_input, _add_output)
     p.add_argument("--r", type=int, required=True, help="order of the cyclic group")
 
-    p = sub.add_parser("group", help="invariant cohomology from conjugacy-class data")
-    _add_common(p)
+    p = command("group", "invariant cohomology from conjugacy-class data",
+                _add_input, _add_output)
     p.add_argument("--classes", help='semicolon-separated lines "order=<m> omega=<yes|no>"')
     p.add_argument("--classes-file", help="file with one class per line")
 
-    p = sub.add_parser("verify", help="formula vs oracle cross-validation")
-    _add_common(p)
+    p = command("verify", "formula vs oracle cross-validation", *table)
     p.add_argument("--kind", choices=["homology", "cohomology", "both"], default="both")
+    p.set_defaults(formula_only=False)
 
-    p = sub.add_parser("selftest", help="seeded property battery")
-    _add_common(p, need_poly=False)
+    p = command("selftest", "seeded property battery", _add_output)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def _emit(report: RunReport, args) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(report.to_json() + "\n")
-    elif getattr(args, "csv", False):
+    elif args.csv:
         sys.stdout.write(report.to_csv())
     else:
         sys.stdout.write(report.to_table())

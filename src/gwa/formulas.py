@@ -17,15 +17,13 @@ from .poly import Poly, ShiftSigma, degree_invariants
 
 @dataclass
 class DimReport:
-    """Per-degree dimensions from one source, plus the agreement flag set
-    when a second source has been compared against it."""
+    """Per-degree dimensions from one source."""
 
     n: int
     d: int
     dims: list[int]
     source: str  # "formula" | "oracle"
     kind: str    # "homology" | "cohomology" | "twisted-homology" | ...
-    agreement: bool | None = None
     meta: dict = field(default_factory=dict)
 
 

@@ -346,7 +346,7 @@ class GroupClassData:
         return cls(tuple(classes))
 
 
-def group_report(spec: GWASpec, classes: GroupClassData) -> DimReport:
+def group_report(spec: GWASpec, classes: GroupClassData, p_max: int = 5) -> DimReport:
     """Invariant-subalgebra cohomology dimensions from class data.
 
     Requires the simplicity hypothesis.  When the data describes a cyclic
@@ -359,7 +359,7 @@ def group_report(spec: GWASpec, classes: GroupClassData) -> DimReport:
             "no sigma-conjugate roots); refusing to apply it"
         )
     n = spec.n
-    report = group_coh_dims(n, classes.a1, classes.a2)
+    report = group_coh_dims(n, classes.a1, classes.a2, p_max)
     report.meta["classes"] = [
         {"order": c.order, "omega": c.omega_in_centralizer} for c in classes.classes
     ]

@@ -36,8 +36,6 @@ from . import _rankcore_py as _kernels
 from .errors import InputError, InternalConsistencyError, StabilizationError
 from .scalars import Cyclotomic, cyclotomic_coeffs, euler_phi
 
-KERNEL_IMPLEMENTATION = _kernels.IMPLEMENTATION
-
 
 @dataclass(frozen=True)
 class TruncatedSpace:

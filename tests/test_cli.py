@@ -219,3 +219,135 @@ def test_import_leaves_out_concurrent_futures():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _table(out):
+    """The echo line, the (kind, source) of each result row, and the
+    summary lines present, of a table report."""
+    lines = out.splitlines()
+    rows = [tuple(line.split()[:2]) for line in lines if line.endswith("]")]
+    summary = [label for label in ("agreement:", "duality:", "stabilized at")
+               if any(line.startswith(label) for line in lines)]
+    return lines[0], rows, summary
+
+
+ORACLE_SUMMARY = ["agreement:", "duality:", "stabilized at"]
+
+
+@pytest.mark.parametrize("argv, echo, rows, summary", [
+    (["hh", "--a", "h", "--p-max", "2"], "input: a=h, h0=1",
+     [("homology", "formula"), ("homology", "oracle")], ORACLE_SUMMARY),
+    (["coh", "--a", "h^2", "--h0", "1/2", "--p-max", "2"], "input: a=h^2, h0=1/2",
+     [("cohomology", "formula"), ("cohomology", "oracle")], ORACLE_SUMMARY),
+    (["verify", "--a", "h", "--kind", "both", "--p-max", "2"], "input: a=h, h0=1, kind=both",
+     [("homology", "formula"), ("homology", "oracle"),
+      ("cohomology", "formula"), ("cohomology", "oracle")], ORACLE_SUMMARY),
+    (["twisted", "--a", "h", "--twist-order", "2", "--kind", "both", "--p-max", "2"],
+     "input: a=h, h0=1, twist_order=2, twist_power=1",
+     [("twisted-homology", "formula"), ("twisted-homology", "oracle"),
+      ("twisted-cohomology", "formula"), ("twisted-cohomology", "oracle")],
+     ["agreement:", "stabilized at"]),
+    (["twisted", "--a", "h^2-1", "--twist-order", "3", "--twist-power", "2", "--formula-only"],
+     "input: a=h^2 - 1, h0=1, twist_order=3, twist_power=2",
+     [("twisted-homology", "formula"), ("twisted-cohomology", "formula")], []),
+    (["hh", "--a", "h^2", "--formula-only"], "input: a=h^2, h0=1",
+     [("homology", "formula")], ["duality:"]),
+], ids=["hh", "coh", "verify-both", "twisted-both", "twisted-formula-only", "hh-formula-only"])
+def test_table_commands_echo_and_result_order(capsys, argv, echo, rows, summary):
+    code, out, _ = run_main(capsys, argv)
+    assert code == EXIT_OK
+    assert _table(out) == (echo, rows, summary)
+
+
+def test_table_commands_look_the_formulas_up_at_call_time(monkeypatch):
+    """Spies put on the formula tables and the oracle wherever a loaded
+    `gwa` module binds them, as the benchmark's tracer does, see every call
+    of the four table commands; a table kept from import time would bypass
+    them."""
+    import gwa.complexes
+    import gwa.formulas
+
+    calls = []
+    for owner, name in ((gwa.formulas, "hh_dims"), (gwa.formulas, "coh_dims"),
+                        (gwa.formulas, "twisted_dims"), (gwa.complexes, "oracle_dims")):
+        real = getattr(owner, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] != "gwa":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, spy)
+    duality = ["hh_dims", "coh_dims"]
+    expected = {
+        "hh": ["hh_dims", "oracle_dims", *duality],
+        "coh": ["coh_dims", "oracle_dims", *duality],
+        "verify --kind both": ["hh_dims", "oracle_dims", "coh_dims", "oracle_dims", *duality],
+        "twisted --twist-order 2 --kind both": ["twisted_dims", "oracle_dims"] * 2,
+    }
+    for command, names in expected.items():
+        calls.clear()
+        run_job([*command.split(), "--a", "h", "--p-max", "1"])
+        assert calls == names, command
+
+
+NEGATIVE_P_MAX = [
+    ["hh", "--a", "h"],
+    ["hh", "--a", "h", "--formula-only"],
+    ["verify", "--a", "h"],
+    ["twisted", "--a", "h", "--twist-order", "2"],
+    ["invariants", "--a", "h", "--r", "2"],
+    ["group", "--a", "h^2-2", "--classes", "order=2 omega=no"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_P_MAX, ids=[
+    "hh", "hh-formula-only", "verify", "twisted", "invariants", "group"])
+def test_negative_p_max_is_an_input_error(capsys, argv):
+    argv = [*argv, "--p-max", "-2"]
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err == "error: --p-max must be nonnegative, got -2\n"
+    record = sweep_job(" ".join(repr(arg) for arg in argv))
+    assert record["exit_code"] == EXIT_INVALID_INPUT
+    assert "--p-max" in record["error"] and "report" not in record
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"order=2 omega=\xff\n"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_classes_file_is_an_input_error(capsys, tmp_path, make):
+    path = tmp_path / "classes.txt"
+    make(path)
+    argv = ["group", "--a", "h^2-1", "--classes-file", str(path)]
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err.startswith(f"error: cannot read the classes file {str(path)!r}: ")
+    record = sweep_job(" ".join(argv))
+    assert record["exit_code"] == EXIT_INVALID_INPUT and str(path) in record["error"]
+
+
+def test_group_honours_p_max():
+    argv = ["group", "--a", "h^2-3", "--classes", "order=2 omega=no;order=3 omega=yes"]
+    assert run_job(argv)["results"][0]["dims"] == [1, 0, 4, 0, 0, 0]
+    assert run_job([*argv, "--p-max", "2"])["results"][0]["dims"] == [1, 0, 4]
+
+
+@pytest.mark.parametrize("argv, rejected", [
+    (["invariants", "--a", "h", "--r", "2", "--paranoid"], "--paranoid"),
+    (["selftest", "--p-max", "1"], "--p-max 1"),
+], ids=["invariants-paranoid", "selftest-p-max"])
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv, rejected):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {rejected}\n")
+    record = sweep_job(" ".join(argv))
+    assert record["exit_code"] == EXIT_INVALID_INPUT
+    assert record["error"].endswith(f"unrecognized arguments: {rejected}")
