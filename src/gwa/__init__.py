@@ -5,10 +5,12 @@ integers n = deg a, d = deg gcd(a, a'), and a resolution-based oracle doing
 exact linear algebra on truncated weight-zero complexes.  The public entry
 points re-exported here mirror the module layout:
 
-- scalars / poly: exact rationals, cyclotomic numbers, k[h] with the shift
+- scalars / poly: cyclotomic numbers over the rationals (`Fraction`), k[h]
+  with the shift
 - algebra: normal-form arithmetic in A(k[h], a, sigma) and its automorphisms
 - linalg: truncated spaces, exact ranks and kernels, stabilization
-- complexes: the oracle (total complexes, rows, Bezout test, Euler homotopy)
+- complexes: the oracle (total-complex and row dimensions, Bezout test,
+  Euler homotopy)
 - formulas: the closed-form dimension tables and the duality flag
 - invariants: invariant subalgebras, simplicity, reflections, group counts
 - cli: the `gwa` command
@@ -33,7 +35,6 @@ from .complexes import (
     ComplexKind,
     bezout_d2_test,
     bezout_witness,
-    build_differentials,
     center_dim,
     euler_homotopy_check,
     oracle_dims,
@@ -78,6 +79,6 @@ from .poly import (
     parse_poly,
     sigma_pow,
 )
-from .scalars import Cyclotomic, Rational, zeta
+from .scalars import Cyclotomic, zeta
 
 __version__ = "0.1.0"

@@ -241,6 +241,9 @@ class Torus:
     def __post_init__(self):
         if not self.w:
             raise InputError("torus parameter w must be nonzero")
+        if isinstance(self.w, int):
+            # An int would raise to a float at negative weights.
+            object.__setattr__(self, "w", Fraction(self.w))
 
 
 @dataclass(frozen=True)
@@ -338,10 +341,13 @@ def _generator_images(g: AutomorphismSpec, spec: GWASpec):
     raise InputError(f"unsupported automorphism {g!r}")
 
 
+def is_reflection_constant(a: Poly, rho) -> bool:
+    """Whether a(rho - h) = (-1)^n a(h), n = deg a."""
+    return a.compose_affine(-1, rho) == (a if a.degree % 2 == 0 else -a)
+
+
 def _check_reflective(spec: GWASpec, rho):
-    sign = 1 if spec.n % 2 == 0 else -1
-    reflected = spec.a.compose_affine(-1, rho)
-    if reflected != spec.a * sign:
+    if not is_reflection_constant(spec.a, rho):
         raise HypothesisError(
             f"rho={rho} does not satisfy a(rho - h) = (-1)^n a(h) for a={spec.a}"
         )
@@ -360,8 +366,7 @@ def apply_automorphism(g: AutomorphismSpec, u: GWAElement) -> GWAElement:
         w = g.w
         out = {}
         for j, p in u.terms.items():
-            c = w ** j if j >= 0 else scalar_inverse(w) ** (-j)
-            out[j] = p * c
+            out[j] = p * w ** j
         return GWAElement(spec, out)
     ix, iy, ih = _generator_images(g, spec)
     result = spec.zero()

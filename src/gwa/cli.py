@@ -184,19 +184,19 @@ def cmd_table(args) -> RunReport:
     report, spec = _start_report(
         args, **{key: getattr(args, key) for key in TABLE_ECHO.get(args.command, ())})
     variants = _variants(args)
-    schedule = None if args.formula_only else _schedule_for(report.n, args)
+    schedule = _schedule_for(report.n, args)
     stabs, agree = [], []
     for label, kind, table in variants:
         formula = table(spec.a, spec.sigma, args.p_max).dims
         report.results.append({"kind": label, "source": "formula", "dims": formula})
-        if schedule is None:
+        if args.formula_only:
             continue
         oracle = oracle_dims(spec, kind, args.p_max, schedule)
         dims = [int(v) for v in oracle]
         report.results.append({"kind": label, "source": "oracle", "dims": dims})
         stabs.extend(oracle)
         agree.append(dims == formula)
-    if schedule is not None:
+    if not args.formula_only:
         report.agreement = all(agree)
         report.stabilization = {
             "stabilized_at": max(s.stabilized_at for s in stabs),

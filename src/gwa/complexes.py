@@ -84,23 +84,6 @@ HOMOLOGY = ComplexKind("homology")
 COHOMOLOGY = ComplexKind("cohomology")
 
 
-class CoefficientBimodule:
-    """The bimodule carrying the coefficients: underlying space A, left action
-    untwisted, right action twisted through g (identity when g is None)."""
-
-    def __init__(self, spec: GWASpec, twist: Torus | None):
-        self.spec = spec
-        self.twist = twist
-
-    def left(self, b: GWAElement, m: GWAElement) -> GWAElement:
-        return b * m
-
-    def right(self, m: GWAElement, b: GWAElement) -> GWAElement:
-        if self.twist is not None:
-            b = apply_automorphism(self.twist, b)
-        return m * b
-
-
 def _wedge(extra: str, slot: tuple):
     """Sign-normalized wedge e_extra ^ e_slot; None if the generator repeats."""
     if extra in slot:
@@ -257,12 +240,6 @@ def _poly_at(value: GWAElement, weight: int) -> Poly:
     return value.coefficient(weight)
 
 
-def _coefficient_action(bim: CoefficientBimodule, left: GWAElement,
-                        m: GWAElement, right: GWAElement) -> GWAElement:
-    """left |> m <| right through the coefficient bimodule."""
-    return bim.right(bim.left(left, m), right)
-
-
 def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
                 shift: int, spec: GWASpec):
     """Add the block of p |-> g_poly * sigma^shift(p) between two k[h] copies.
@@ -342,11 +319,11 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     rows = [[Fraction(0)] * dom_space.dim for _ in range(cod_space.dim)]
     dce = _dce_terms(spec)
     df = _df_terms(spec)
-    bim = CoefficientBimodule(spec, kind.twist)
-    # Homology reads the routes from the domain's spots:
-    # m (x) (u e_J v) |-> (v |> m <| u) (x) e_J.  Cohomology reads them from
-    # the codomain's, as delta f = f o D, and finds the domain slots feeding
-    # each: (delta f)(u e_I v) = u |> f(e_I) <| v.
+    # The coefficients are A with the left action untwisted and the right
+    # one through the twist: b |> m <| c = b m g(c).  Homology reads the
+    # routes from the domain's spots: m (x) (u e_J v) |-> (v |> m <| u) (x) e_J.
+    # Cohomology reads them from the codomain's, as delta f = f o D, and
+    # finds the domain slots feeding each: (delta f)(u e_I v) = u |> f(e_I) <| v.
     sign = -1 if homology else 1
     here, there = (dom_map, cod_map) if homology else (cod_map, dom_map)
     for (spot, slot), copy in here.items():
@@ -366,7 +343,9 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
                     left, right, dom_slot, cod_slot = u, v, route_slot, slot
                     copy_dom, copy_cod = other, copy
                 pref = _prefactor(spec, sign * slot_weight(dom_slot))
-                value = _coefficient_action(bim, left, pref, right)
+                if kind.twist is not None:
+                    right = apply_automorphism(kind.twist, right)
+                value = left * pref * right
                 g_poly = _poly_at(value, sign * slot_weight(cod_slot))
                 _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly,
                             _element_weight(left), spec)
@@ -389,24 +368,6 @@ def _check_d_squared(kind: ComplexKind, incoming: list, outgoing: list) -> None:
             raise InternalConsistencyError(
                 f"d o d != 0 at degree {q} ({kind.variant}, twist={kind.twist})"
             )
-
-
-def build_differentials(spec: GWASpec, kind: ComplexKind, p_max: int,
-                        bound: int) -> list[TruncatedMap]:
-    """The total differentials out of degrees 0..p_max at domain bound
-    `bound`, after checking exactly that consecutive ones compose to zero.
-
-    Each degree is assembled once, at the larger bounds; the differentials
-    at `bound` are sliced from it (see `TruncatedMap.truncate`).
-    """
-    if p_max > 8:
-        raise InputError("p_max above 8 is not supported")
-    margin = spec.n + 1
-    far = [assemble_total_matrix(spec, kind, p, bound + margin, bound + 2 * margin)
-           for p in range(p_max + 1)]
-    near = [m.truncate(bound, bound + margin) for m in far]
-    _check_d_squared(kind, far, near)
-    return near
 
 
 def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,

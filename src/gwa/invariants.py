@@ -22,6 +22,7 @@ from .algebra import (
     GWASpec,
     Torus,
     apply_automorphism,
+    is_reflection_constant,
     twisted_commutator,
     commutator,
 )
@@ -47,11 +48,15 @@ def invariant_gwa(spec: GWASpec, r: int) -> GWASpec:
     """
     if r < 1:
         raise InputError("the group order r must be >= 1")
+    return GWASpec(compose_scale(_shift_product(spec, r), r), spec.sigma)
+
+
+def _shift_product(spec: GWASpec, r: int) -> Poly:
+    """prod_{j=0}^{r-1} sigma^{-j}(a)."""
     product = Poly.const(1)
     for j in range(r):
         product = product * sigma_pow(spec.a, -j, spec.sigma)
-    a_tilde = compose_scale(product, r)
-    return GWASpec(a_tilde, spec.sigma)
+    return product
 
 
 def verify_invariant_identity(spec: GWASpec, r: int) -> bool:
@@ -59,9 +64,7 @@ def verify_invariant_identity(spec: GWASpec, r: int) -> bool:
     if r > 6:
         raise InputError("identity check capped at r <= 6 for cost")
     power = spec.y(r) * spec.x(r)
-    expected = Poly.const(1)
-    for j in range(r):
-        expected = expected * sigma_pow(spec.a, -j, spec.sigma)
+    expected = _shift_product(spec, r)
     if power != spec.from_poly(expected):
         return False
     # And the lemma's polynomial really is that product rescaled.
@@ -116,30 +119,42 @@ def reflectivity(a: Poly) -> Reflectivity:
         raise HypothesisError("a must be non-constant")
     n = a.degree
     candidate = -2 * a[n - 1] / (n * a[n])
-    sign = 1 if n % 2 == 0 else -1
-    if a.compose_affine(-1, candidate) == a * sign:
+    if is_reflection_constant(a, candidate):
         return Reflectivity(True, candidate)
     return Reflectivity(False, None)
 
 
-def _commutator_span_codim(spec: GWASpec, generators, schedule: Schedule,
-                           order=None) -> StabilizedDim:
+def _relator_rows(elements, d: int) -> list:
+    """Coefficient rows in degrees <= d of weight-zero `elements`; those of
+    higher degree are left out."""
+    rows = []
+    for elem in elements:
+        poly = elem.coefficient(0)
+        extra = [w for w in elem.terms if w != 0]
+        if extra:
+            raise HypothesisError(f"nonzero-weight relator {elem}")
+        if poly.degree <= d:
+            rows.append([poly[i] for i in range(d + 1)])
+    return rows
+
+
+def _commutator_span_codim(generators, schedule: Schedule, order=None) -> StabilizedDim:
     """Codimension in truncated k[h] of the span of weight-zero elements
     produced by `generators(d)`, stabilized over the degree bound."""
 
     def evaluate(d: int) -> int:
-        rows = []
-        for elem in generators(d):
-            poly = elem.coefficient(0)
-            extra = [w for w in elem.terms if w != 0]
-            if extra:
-                raise HypothesisError(f"nonzero-weight relator {elem}")
-            if poly.degree <= d:
-                rows.append([poly[i] for i in range(d + 1)])
-        return (d + 1) - rank_rows(rows, d + 1, order)
+        return (d + 1) - rank_rows(_relator_rows(generators(d), d), d + 1, order)
 
     value, at, history = stabilize(evaluate, schedule)
     return StabilizedDim(value, at, tuple(history))
+
+
+def _h0_relators(spec: GWASpec, d: int):
+    """The commutators [h^i y, x] and [h^i x, y] for i <= d."""
+    x, y = spec.x(), spec.y()
+    for i in range(d + 1):
+        yield commutator(spec.monomial(-1, Poly.monomial(i)), x)
+        yield commutator(spec.monomial(1, Poly.monomial(i)), y)
 
 
 def h0_bruteforce(spec: GWASpec, schedule: Schedule | None = None) -> StabilizedDim:
@@ -150,14 +165,7 @@ def h0_bruteforce(spec: GWASpec, schedule: Schedule | None = None) -> Stabilized
     """
     if schedule is None:
         schedule = Schedule.default(spec.n)
-    x, y = spec.x(), spec.y()
-
-    def generators(d: int):
-        for i in range(d + 1):
-            yield commutator(spec.monomial(-1, Poly.monomial(i)), x)
-            yield commutator(spec.monomial(1, Poly.monomial(i)), y)
-
-    return _commutator_span_codim(spec, generators, schedule)
+    return _commutator_span_codim(lambda d: _h0_relators(spec, d), schedule)
 
 
 def h0_basis_independent(spec: GWASpec, d: int | None = None) -> bool:
@@ -168,14 +176,7 @@ def h0_basis_independent(spec: GWASpec, d: int | None = None) -> bool:
         return True
     if d is None:
         d = max(4 * n, 12)
-    x, y = spec.x(), spec.y()
-    rows = []
-    for i in range(d + 1):
-        for gen in (commutator(spec.monomial(-1, Poly.monomial(i)), x),
-                    commutator(spec.monomial(1, Poly.monomial(i)), y)):
-            poly = gen.coefficient(0)
-            if poly.degree <= d:
-                rows.append([poly[k] for k in range(d + 1)])
+    rows = _relator_rows(_h0_relators(spec, d), d)
     base = rank_rows(rows, d + 1, None)
     for j in range(n - 1):
         rows.append([1 if k == j else 0 for k in range(d + 1)])
@@ -197,7 +198,7 @@ def twisted_h0_bruteforce(spec: GWASpec, w, schedule: Schedule | None = None) ->
             yield twisted_commutator(spec.monomial(-1, Poly.monomial(i)), x, g)
             yield twisted_commutator(spec.monomial(1, Poly.monomial(i)), y, g)
 
-    return _commutator_span_codim(spec, generators, schedule, order=field_order(w))
+    return _commutator_span_codim(generators, schedule, order=field_order(w))
 
 
 def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
@@ -211,7 +212,8 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
     not commute with the twist (w must be a square root of unity).
     """
     n = spec.n
-    _require_reflective(spec, rho)
+    if not is_reflection_constant(spec.a, rho):
+        raise HypothesisError(f"rho={rho} is not a reflection constant for a={spec.a}")
     if w == 1:
         raise HypothesisError("the twist must differ from the identity")
     order = field_order(w)
@@ -227,16 +229,17 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
             brows.append([img[k] for k in range(d + 1)])
     base_rank = rank_rows(brows, d + 1, order)
 
-    # The substitution must preserve the boundary space.
-    for row in list(brows):
-        p = Poly([row[k] for k in range(d + 1)])
-        image = p.compose_affine(-1, spec.sigma.h0 + rho)
-        test = brows + [[image[k] for k in range(d + 1)]]
-        if rank_rows(test, d + 1, order) != base_rank:
-            raise HypothesisError(
-                "reflection does not preserve the twisted boundary space; "
-                "it does not centralize this twist (need w^2 = 1)"
-            )
+    # The substitution must preserve the boundary space: adding the images
+    # to the span grows it exactly when some image lies outside it.
+    images = []
+    for row in brows:
+        image = Poly(row).compose_affine(-1, spec.sigma.h0 + rho)
+        images.append([image[k] for k in range(d + 1)])
+    if rank_rows(brows + images, d + 1, order) != base_rank:
+        raise HypothesisError(
+            "reflection does not preserve the twisted boundary space; "
+            "it does not centralize this twist (need w^2 = 1)"
+        )
 
     # Induced map on representatives 1, h, ..., h^{n-1}: substitute, then
     # reduce back below degree n with the boundary echelon.
@@ -257,12 +260,6 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
     # Fixed space = kernel of (M - Id) on the n-dimensional quotient.
     rows = [[matrix[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     return len(kernel_raw(rows, n, order))
-
-
-def _require_reflective(spec: GWASpec, rho):
-    sign = 1 if spec.n % 2 == 0 else -1
-    if spec.a.compose_affine(-1, rho) != spec.a * sign:
-        raise HypothesisError(f"rho={rho} is not a reflection constant for a={spec.a}")
 
 
 def _echelon_reducer(rows, ncols, order):

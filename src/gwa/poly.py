@@ -14,7 +14,7 @@ from fractions import Fraction
 import re
 
 from .errors import HypothesisError, InputError
-from .scalars import Cyclotomic, common_field_order, cyclotomic_coeffs, scalar_inverse
+from .scalars import Cyclotomic, cyclotomic_coeffs, scalar_inverse
 
 
 def _norm(coeffs):
@@ -175,15 +175,6 @@ class Poly:
             result = result * arg + Poly.const(c)
         return result
 
-    def evaluate(self, x):
-        result = Fraction(0)
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def field_order(self):
-        return common_field_order(self.coeffs)
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
@@ -333,7 +324,7 @@ def format_poly(p: Poly, var: str = "h") -> str:
         if not c:
             continue
         if i == 0:
-            body = _coeff_str(c)
+            body = str(c)
         else:
             power = var if i == 1 else f"{var}^{i}"
             if c == 1:
@@ -341,7 +332,7 @@ def format_poly(p: Poly, var: str = "h") -> str:
             elif c == -1:
                 body = f"-{power}"
             else:
-                body = f"{_coeff_str(c)}*{power}"
+                body = f"{c}*{power}"
         if not parts:
             parts.append(body)
         elif body.startswith("-"):
@@ -349,9 +340,3 @@ def format_poly(p: Poly, var: str = "h") -> str:
         else:
             parts.append(f"+ {body}")
     return " ".join(parts)
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, Cyclotomic):
-        return str(c)
-    return str(c)

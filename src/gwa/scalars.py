@@ -15,8 +15,6 @@ from functools import lru_cache
 
 from .errors import InputError
 
-Rational = Fraction
-
 #: Largest root-of-unity order accepted by default; phi(m) growth makes
 #: matrices over larger fields too expensive to be useful here.
 DEFAULT_ORDER_CAP = 64
@@ -356,19 +354,6 @@ def scalar_inverse(x):
 def field_order(x) -> int | None:
     """None for rational scalars, the root-of-unity order for cyclotomic ones."""
     return x.order if isinstance(x, Cyclotomic) else None
-
-
-def common_field_order(values) -> int | None:
-    order = None
-    for v in values:
-        m = field_order(v)
-        if m is None:
-            continue
-        if order is None:
-            order = m
-        elif order != m:
-            raise ScalarFieldError(f"mixed cyclotomic orders {order} and {m}")
-    return order
 
 
 def parse_rational(text: str) -> Fraction:

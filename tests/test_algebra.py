@@ -108,6 +108,9 @@ def test_torus_action():
     assert apply_automorphism(g, u) == u * w
     assert apply_automorphism(g, CUBIC.h(2)) == CUBIC.h(2)
     assert apply_automorphism(g, CUBIC.y()) == CUBIC.y() * Fraction(1, 3)
+    # Negative weights take negative powers of w, exactly.
+    assert apply_automorphism(Torus(zeta(4)), CUBIC.y(3)) == CUBIC.y(3) * zeta(4)
+    assert apply_automorphism(Torus(-2), CUBIC.y(2)) == CUBIC.y(2) * Fraction(1, 4)
 
 
 def test_exp_y_images():

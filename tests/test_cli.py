@@ -196,6 +196,21 @@ def test_bad_schedule_is_an_input_error(capsys, flags):
     assert "error:" in err and "stabilization" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hh", "--a", "h", "--formula-only"],
+    ["coh", "--a", "h", "--formula-only"],
+    ["twisted", "--a", "h", "--twist-order", "2", "--formula-only"],
+], ids=["hh", "coh", "twisted"])
+def test_bad_schedule_is_an_input_error_without_the_oracle(capsys, argv):
+    argv = [*argv, "--d-max", "-1"]
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err == "error: truncation bounds must be nonnegative (start 12, cap -1)\n"
+    record = sweep_job(" ".join(argv))
+    assert record["exit_code"] == EXIT_INVALID_INPUT
+    assert "truncation bounds" in record["error"] and "report" not in record
+
+
 def test_console_entry_point_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
