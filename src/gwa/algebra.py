@@ -23,7 +23,7 @@ from math import factorial
 
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .poly import Poly, ShiftSigma, sigma_pow
-from .scalars import Cyclotomic, scalar_inverse
+from .scalars import Cyclotomic
 
 
 class GWASpec:
@@ -314,9 +314,6 @@ def _exp_ad(v: GWAElement, lam, target: GWAElement, cap: int) -> GWAElement:
 
 def _generator_images(g: AutomorphismSpec, spec: GWASpec):
     """Images of (x, y, h) under g, as elements of A."""
-    if isinstance(g, Torus):
-        w = g.w
-        return spec.x() * w, spec.y() * scalar_inverse(w), spec.h()
     if isinstance(g, ExpY):
         cap = 4 * (g.m * spec.n + 1)
         v = spec.y(g.m)

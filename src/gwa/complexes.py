@@ -428,6 +428,12 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     zeros.  A degree is assembled again only when a D outgrows it.  The
     d o d = 0 check, which `homology_dim_at` relies on, runs once, on the
     maps of the first D.
+
+    The same check makes the rank of each slice the number of the
+    assembly's pivot columns inside the slice's columns.  So each assembly
+    that is ranked is eliminated once, the first time one of its slices is
+    ranked, and the outgoing and incoming ranks at every later D it covers
+    are pivot counts.  Only the ranks of N_top take an elimination per D.
     """
     assembled: dict[int, TruncatedMap] = {}
     checked = False

@@ -6,9 +6,9 @@ matrices between such spaces.  How to compute over a field is decided once
 per field order (`_backend`).  Ranks over the rationals and over a
 quadratic cyclotomic field are computed fraction-free: rows are scaled to
 integers (or integer pairs) and eliminated with the Bareiss kernels of
-`gwa._rankcore_py`.  The exact d o d = 0 test (`compose_is_zero`) scales the
-outer map's rows the same way, each by its own integer, and the whole inner
-matrix by one.  Over a quadratic field it then runs on integers too: each
+`gwa._rankcore_py`, which scale the rows a stage leaves idle lazily.  The
+exact d o d = 0 test (`compose_is_zero`) scales the outer map's rows the
+same way, each by its own integer, and the whole inner matrix by one.  Over a quadratic field it then runs on integers too: each
 outer entry becomes the 2 x 2 integer block of multiplication by it, and
 each inner entry its two coordinates.  The scaling contract: each row, and
 the inner matrix as a whole, is multiplied by a positive integer, the lcm of
@@ -18,6 +18,14 @@ over cyclotomic fields of higher degree, kernels, reduction modulo a span --
 is one forward sweep with unit pivots in the field itself (`field_echelon`),
 and the d o d = 0 test over those fields multiplies in the field.
 
+A map's rank is the number of its pivot columns, found by one elimination
+and kept (`TruncatedMap.rank`).  Every elimination picks pivots column by
+column, left to right, so the pivot columns of a matrix give the rank of
+each of its leading column blocks, its column rank profile.  A map cut from
+a larger one by `TruncatedMap.truncate` is such a block, with only zeros
+below it, so its rank is a count of the larger map's pivot columns: all
+the truncations of one assembled matrix share one elimination.
+
 Truncation never fakes exactness: codomain bounds always leave enough margin
 that a kernel vector of a truncated matrix is a genuine kernel vector, and
 image undercounts are absorbed by the stabilization schedule, which raises
@@ -26,6 +34,7 @@ the bound until the reported value repeats.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,9 +68,13 @@ class TruncatedSpace:
 
 
 class TruncatedMap:
-    """Exact dense matrix of a linear map between truncated spaces."""
+    """Exact dense matrix of a linear map between truncated spaces.
 
-    __slots__ = ("domain", "codomain", "rows")
+    A map cut by `truncate` remembers the map it was cut from, whose one
+    elimination gives the ranks of all its slices (`rank`).
+    """
+
+    __slots__ = ("domain", "codomain", "rows", "_source", "_pivots")
 
     def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, rows):
         if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
@@ -69,6 +82,8 @@ class TruncatedMap:
         self.domain = domain
         self.codomain = codomain
         self.rows = rows
+        self._source = None
+        self._pivots = None
 
     @property
     def field_order(self) -> int | None:
@@ -79,7 +94,9 @@ class TruncatedMap:
 
         Degree-major indexing makes this the top-left block of the matrix.
         It is the map's matrix at those bounds only if every entry the cut
-        drops from a kept column is zero, which is checked exactly.  At
+        drops from a kept column is zero, which is checked exactly.  That
+        check also makes the slice's rank the number of the uncut map's
+        pivot columns inside the slice's columns (see `rank`).  At
         unchanged bounds the map itself is returned.
         """
         if not (0 <= b_dom <= self.domain.degree_bound
@@ -99,7 +116,28 @@ class TruncatedMap:
                     f"truncating to ({b_dom}, {b_cod}) drops a nonzero entry "
                     f"of a kept column"
                 )
-        return TruncatedMap(dom, cod, [row[:ncols] for row in self.rows[:nrows]])
+        cut = TruncatedMap(dom, cod, [row[:ncols] for row in self.rows[:nrows]])
+        cut._source = self._source or self
+        return cut
+
+    def _pivot_columns(self) -> list[int]:
+        """The pivot columns of the field's elimination (`_backend`) of the
+        whole matrix, computed on the first call and kept."""
+        if self._pivots is None:
+            if self.rows and self.domain.dim:
+                eliminate, _ = _backend(self.field_order)
+                self._pivots = eliminate(self.rows, self.domain.dim)[1]
+            else:
+                self._pivots = []
+        return self._pivots
+
+    def rank(self) -> int:
+        """Rank of the matrix: its number of pivot columns, or for a slice
+        the number of the uncut map's pivot columns among its own columns
+        (the column rank profile; see the module docstring)."""
+        if self._source is None:
+            return len(self._pivot_columns())
+        return bisect_left(self._source._pivot_columns(), self.domain.dim)
 
 
 # Scalar-row preparation (the scaling contract in the module docstring) ------
@@ -397,6 +435,10 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
     dim(im(N) meet L) = rank(N) - rank(N_top), where N_top is N's rows above
     L.  So the value is nullity(dp) - rank(N) + rank(N_top), with no kernel
     basis.  Without the precondition it can undercount.
+
+    The ranks of dp and N are `TruncatedMap.rank`: for slices of assembled
+    maps, pivot counts of the assembled map's one elimination.  N_top is
+    not a column prefix of anything eliminated, so it is ranked afresh.
     """
     if dp.domain.copies != dnext.codomain.copies:
         raise InputError("homology spaces disagree on the number of k[h] copies")
@@ -404,11 +446,8 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
         raise InputError("kernel space must embed in the boundary codomain")
     order = dp.field_order or dnext.field_order
     low = dp.domain.dim
-    boundary = dnext.rows
-    width = dnext.domain.dim
-    return (low - rank_rows(dp.rows, low, order)
-            - rank_rows(boundary, width, order)
-            + rank_rows(boundary[low:], width, order))
+    return (low - dp.rank() - dnext.rank()
+            + rank_rows(dnext.rows[low:], dnext.domain.dim, order))
 
 
 def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:

@@ -19,7 +19,7 @@ from gwa.complexes import (
 )
 from gwa.errors import HypothesisError, InputError, InternalConsistencyError
 from gwa.formulas import hh_dims
-from gwa.linalg import Schedule, TruncatedMap, TruncatedSpace
+from gwa.linalg import Schedule, TruncatedMap, TruncatedSpace, _kernels, rank_rows
 from gwa.poly import Poly, ShiftSigma, gcd_monic, sigma_pow
 from gwa.scalars import zeta
 
@@ -212,6 +212,77 @@ def test_oracle_reassembles_when_the_schedule_goes_on(monkeypatch):
     assert [d for d, _ in stabs[0].history] == [12, 16, 20]
     assert dims(stabs) == hh_dims(CUBIC.a, CUBIC.sigma, p_max).dims
     assert len(calls) == 2 * (p_max + 2)
+
+
+@pytest.mark.parametrize("kind, window, ranked_assemblies",
+                         [(HOMOLOGY, 2, 3), (HOMOLOGY, 3, 6),
+                          (COHOMOLOGY, 2, 3), (COHOMOLOGY, 3, 5)],
+                         ids=["homology-2D", "homology-3D", "cohomology-2D", "cohomology-3D"])
+def test_oracle_eliminates_each_ranked_assembly_once(monkeypatch, kind, window,
+                                                     ranked_assemblies):
+    """One full-size elimination per assembled matrix that the oracle
+    ranks, plus one of N_top per degree with boundaries and per D.
+
+    With p_max 2 the ranked assemblies are those of degrees 1..3 in
+    homology (the map out of degree 0 has no rows) and 0..2 in cohomology
+    (the map out of degree 3 only enters the d o d check).  A third D
+    re-assembles every degree.  At D = 20 the outgoing maps still fit the
+    first assembly (16 + n + 1 = 20 for the cubic), so only the incoming
+    ones rank the new one: three more in homology, two in cohomology.
+    """
+    ranked = {}
+    n_top = []
+    shapes = []
+    real_dim, real_echelon = gwa.complexes.homology_dim_at, _kernels.echelon_int
+
+    def dim_spy(dp, dnext):
+        for f in (dp, dnext):
+            big = f._source or f
+            if big.rows and big.domain.dim:
+                ranked[id(big)] = (big.codomain.dim, big.domain.dim)
+        n_top.append(len(dnext.rows) > dp.domain.dim and dnext.domain.dim > 0)
+        return real_dim(dp, dnext)
+
+    def echelon_spy(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return real_echelon(rows, ncols)
+
+    monkeypatch.setattr(gwa.complexes, "homology_dim_at", dim_spy)
+    monkeypatch.setattr(_kernels, "echelon_int", echelon_spy)
+    p_max = 2
+    stabs = oracle_dims(CUBIC, kind, p_max, Schedule(start=12, window=window))
+    ds = [d for d, _ in stabs[0].history]
+    assert ds == [12, 16, 20][:window]
+    assert len(ranked) == ranked_assemblies
+    full = sorted(ranked.values())
+    assert sorted(shape for shape in shapes if shape in full) == full
+    assert sum(n_top) == (p_max + 1 if kind is HOMOLOGY else p_max) * len(ds)
+    assert len(shapes) == len(full) + sum(n_top)
+
+
+@pytest.mark.parametrize("w, n_max", [(None, 5), (Fraction(-1), 5), (zeta(3), 3), (zeta(5), 2)],
+                         ids=["Q", "w=-1", "zeta3", "zeta5"])
+def test_oracle_slice_ranks_are_pivot_counts(monkeypatch, suite, w, n_max):
+    """Every map the oracle ranks, in degrees 0..3, has the rank of a fresh
+    elimination of its own rows, though a slice reads it from the pivot
+    columns of the assembly it was cut from."""
+    real = gwa.complexes.homology_dim_at
+    slices = []
+
+    def checked(dp, dnext):
+        order = dp.field_order or dnext.field_order
+        for f in (dp, dnext):
+            assert f.rank() == rank_rows(f.rows, f.domain.dim, order)
+        slices.append(dp._source is not None)
+        return real(dp, dnext)
+
+    monkeypatch.setattr(gwa.complexes, "homology_dim_at", checked)
+    for variant in ("homology", "cohomology"):
+        kind = ComplexKind(variant, None if w is None else Torus(w))
+        for spec in suite:
+            if spec.n <= n_max:
+                oracle_dims(spec, kind, 3, Schedule(start=4))
+    assert slices and all(slices)
 
 
 def test_oracle_examples():

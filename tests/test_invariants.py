@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import gwa.invariants
 from gwa.algebra import GWASpec
 from gwa.errors import HypothesisError, InputError
 from gwa.formulas import hh_dims
@@ -52,6 +53,37 @@ def test_verify_invariant_identity():
     assert verify_invariant_identity(spec, 3)
     with pytest.raises(InputError):
         verify_invariant_identity(WEYL, 7)
+
+
+def _shifted_product(spec, factors):
+    """prod_{j < factors} sigma^{-j}(a)."""
+    product = Poly.const(1)
+    for j in range(factors):
+        product = product * sigma_pow(spec.a, -j, spec.sigma)
+    return product
+
+
+def _scaled_by_r_plus_1(spec, r):
+    return GWASpec(compose_scale(_shifted_product(spec, r), r + 1), spec.sigma)
+
+
+def _one_factor_dropped(spec, r):
+    return GWASpec(compose_scale(_shifted_product(spec, r - 1), r), spec.sigma)
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("invariant_gwa", _scaled_by_r_plus_1),
+    ("invariant_gwa", _one_factor_dropped),
+    # Shared by both sides of a comparison, a wrong rescaling would cancel.
+    ("compose_scale", lambda p, r: p.compose_affine(r + 1, 0)),
+], ids=["scaled-by-r+1", "factor-dropped", "rescaling"])
+def test_verify_invariant_identity_rejects_a_broken_invariant_gwa(monkeypatch, name, broken):
+    spec = GWASpec(Poly([-1, 0, 1]), ShiftSigma(Fraction(1, 2)))
+    for r in (2, 3):
+        assert verify_invariant_identity(spec, r)
+    monkeypatch.setattr(gwa.invariants, name, broken)
+    for r in (2, 3):
+        assert not verify_invariant_identity(spec, r)
 
 
 def test_simplicity_examples():

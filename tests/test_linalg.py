@@ -457,9 +457,55 @@ def echelon_int_reference(rows, ncols):
     return r, pivots, m[:r]
 
 
-def test_echelon_int_matches_reference():
+def lazy_catch_ups(rows, ncols, update, size, zero, one):
+    """How often the eager Bareiss sweep touches a row, as pivot or as a row
+    to update, after it sat idle (zero in the pivot column) through two or
+    more stages whose pivot differed from the previous one: the rows whose
+    scaling the lazy kernels defer and then catch up.  `update(piv, x, f,
+    y, prev)` is the exact step (piv * x - f * y) / prev."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    idle = [0] * nr
+    catch_ups = 0
+    prev = one
+    r = 0
+    for col in range(ncols):
+        if r == nr:
+            break
+        candidates = [i for i in range(r, nr) if m[i][col] != zero]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: size(m[i][col]))
+        m[r], m[best] = m[best], m[r]
+        idle[r], idle[best] = idle[best], idle[r]
+        piv = m[r][col]
+        catch_ups += idle[r] >= 2
+        for i in range(r + 1, nr):
+            f = m[i][col]
+            if f != zero:
+                catch_ups += idle[i] >= 2
+                idle[i] = 0
+            elif piv != prev:
+                idle[i] += 1
+            m[i][col:] = [update(piv, x, f, y, prev) for x, y in zip(m[i][col:], m[r][col:])]
+        prev = piv
+        r += 1
+    return catch_ups
+
+
+def assembled_maps(suite, kinds):
+    """Banded, degree-major inputs: the maps out of degrees 1..3 at small
+    bounds, for the suite's polynomials of degree 2 and 3."""
+    for spec in suite:
+        if spec.n in (2, 3):
+            for kind in kinds:
+                for p in (1, 2, 3):
+                    yield assemble_total_matrix(spec, kind, p, 4, 4 + spec.n + 1)
+
+
+def test_echelon_int_matches_reference(suite):
     rng = random.Random(17)
-    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0}
+    inputs = []
     for _ in range(120):
         nr, nc = rng.randint(1, 7), rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(nc)]
@@ -472,12 +518,22 @@ def test_echelon_int_matches_reference():
             zero = rng.randrange(nc)
             for row in rows:
                 row[zero] = 0
+        inputs.append((rows, nc))
+    kinds = [ComplexKind("homology"), ComplexKind("cohomology"),
+             ComplexKind("homology", Torus(Fraction(-1)))]
+    inputs += [([_int_row(row) for row in tm.rows], tm.domain.dim)
+               for tm in assembled_maps(suite, kinds)]
+    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0, "lazy": 0}
+    for rows, nc in inputs:
+        nr = len(rows)
         got = _kernels.echelon_int(rows, nc)
         assert got == echelon_int_reference(rows, nc)
         rank, pivots, ech = got
         seen["deficient"] += rank < min(nr, nc)
         seen["zero_column"] += any(all(row[j] == 0 for row in rows) for j in range(nc))
         seen["nontrivial_prev"] += rank >= 2 and abs(ech[0][pivots[0]]) != 1
+        seen["lazy"] += lazy_catch_ups(
+            rows, nc, lambda p, x, f, y, q: (p * x - f * y) // q, abs, 0, 1)
     assert all(seen.values()), seen
 
 
@@ -559,10 +615,10 @@ def echelon_quad_reference(rows, ncols, b, c):
 
 
 @pytest.mark.parametrize("order", [3, 4, 6], ids=["zeta3", "zeta4", "zeta6"])
-def test_echelon_quad_matches_reference(order):
+def test_echelon_quad_matches_reference(suite, order):
     b, c = _quad_params(order)
     rng = random.Random(order)
-    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0}
+    inputs = []
     for _ in range(80):
         nr, nc = rng.randint(1, 6), rng.randint(1, 7)
         rows = [[(rng.randint(-5, 5), rng.randint(-5, 5)) if rng.random() < 0.7 else (0, 0)
@@ -577,10 +633,25 @@ def test_echelon_quad_matches_reference(order):
             zero = rng.randrange(nc)
             for row in rows:
                 row[zero] = (0, 0)
+        inputs.append((rows, nc))
+    kinds = [ComplexKind(variant, Torus(zeta(order))) for variant in ("homology", "cohomology")]
+    inputs += [([_pair_row(row, order) for row in tm.rows], tm.domain.dim)
+               for tm in assembled_maps(suite, kinds)]
+
+    def update(p, x, f, y, q):
+        t0, t1 = _quad_mul_reference(*p, *x, b, c)
+        s0, s1 = _quad_mul_reference(*f, *y, b, c)
+        return _quad_divexact_reference(t0 - s0, t1 - s1, *q, b, c)
+
+    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0, "lazy": 0}
+    for rows, nc in inputs:
+        nr = len(rows)
         got = _kernels.echelon_quad(rows, nc, b, c)
         assert got == echelon_quad_reference(rows, nc, b, c)
         rank, pivots, ech = got
         seen["deficient"] += rank < min(nr, nc)
         seen["zero_column"] += any(all(row[j] == (0, 0) for row in rows) for j in range(nc))
         seen["nontrivial_prev"] += rank >= 2 and ech[0][pivots[0]] != (1, 0)
+        seen["lazy"] += lazy_catch_ups(
+            rows, nc, update, lambda v: abs(v[0]) + abs(v[1]), (0, 0), (1, 0))
     assert all(seen.values()), seen
