@@ -1,0 +1,119 @@
+"""Time the matrix assembly inside one oracle pass, per field.
+
+    python3 benchmarks/bench_assembly.py --src src
+    python3 benchmarks/bench_assembly.py --src src --label change --out BENCH_assembly.json
+
+Imports `gwa` from `--src` and wraps `gwa.complexes.assemble_total_matrix`,
+the name `oracle_dims` looks up at each call, with a timer.  A pass is one
+`oracle_dims` call per variant (homology, then cohomology) with p_max 4 on
+a = h^5-2h^4+h^3, h0 = 1, which stabilizes at D = 24.  It runs for each
+field: Q (no twist) and the torus twists w = -1, zeta3, zeta4 and zeta5.
+For each field it prints the median over 5 passes of the assembly
+seconds, the pass seconds and the assembly calls of a pass, with every
+sample.  With `--out`, the result is also stored in that JSON file under
+`--label`, beside a description of the machine it ran on; other labels
+already in the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+A = "h^5-2*h^4+h^3"
+P_MAX = 4
+FIELDS = {"Q": None, "w=-1": 2, "zeta3": 3, "zeta4": 4, "zeta5": 5}
+RUNS = 5
+
+
+def machine() -> dict:
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return {"cpu": model, "cpus": os.cpu_count(), "os": platform.platform(),
+            "python": platform.python_version()}
+
+
+def one_pass(gwa, order: int | None) -> tuple[float, float, int]:
+    """(assembly seconds, pass seconds, assembly calls) of one pass."""
+    from fractions import Fraction
+
+    complexes = gwa.complexes
+    spec = gwa.algebra.GWASpec(gwa.poly.parse_poly(A), gwa.poly.ShiftSigma(1))
+    twist = None if order is None else gwa.algebra.Torus(
+        Fraction(-1) if order == 2 else gwa.scalars.zeta(order))
+    spent = [0.0, 0]
+    real = complexes.assemble_total_matrix
+
+    def timed(*args):
+        started = time.perf_counter()
+        try:
+            return real(*args)
+        finally:
+            spent[0] += time.perf_counter() - started
+            spent[1] += 1
+
+    complexes.assemble_total_matrix = timed
+    try:
+        started = time.perf_counter()
+        for variant in ("homology", "cohomology"):
+            complexes.oracle_dims(spec, complexes.ComplexKind(variant, twist), P_MAX)
+        total = time.perf_counter() - started
+    finally:
+        complexes.assemble_total_matrix = real
+    return spent[0], total, spent[1]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the gwa package")
+    parser.add_argument("--label", default="run")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import gwa
+    import gwa.algebra
+    import gwa.complexes
+    import gwa.poly
+    import gwa.scalars
+
+    if not Path(gwa.__file__).resolve().is_relative_to(src):
+        print(f"error: imported gwa from {gwa.__file__}, not {src}", file=sys.stderr)
+        return 2
+    fields = {}
+    for name, order in FIELDS.items():
+        samples = [one_pass(gwa, order) for _ in range(RUNS)]
+        assembly, total, calls = zip(*samples)
+        fields[name] = {
+            "assembly_s": round(statistics.median(assembly), 4),
+            "pass_s": round(statistics.median(total), 4),
+            "assembly_calls": statistics.median(calls),
+            "assembly_samples_s": [round(v, 4) for v in assembly],
+            "pass_samples_s": [round(v, 4) for v in total],
+        }
+        print(f"{name:6} assembly {fields[name]['assembly_s']:.3f} s, "
+              f"pass {fields[name]['pass_s']:.3f} s, {calls[0]} assemblies "
+              f"(median of {RUNS})", file=sys.stderr)
+    result = {"a": A, "h0": "1", "p_max": P_MAX, "runs": RUNS, "fields": fields}
+    print(json.dumps(result))
+    if args.out is not None:
+        data = json.loads(args.out.read_text()) if args.out.exists() else {}
+        data["machine"] = machine()
+        data.setdefault("results", {})[args.label] = result
+        args.out.write_text(json.dumps(data, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

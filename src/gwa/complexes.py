@@ -13,6 +13,20 @@ guards every variant, twisted or not.
 Everything is restricted to the weight-zero part, where each component is a
 finite sum of copies of k[h]; the Euler homotopy (exposed as
 `euler_homotopy_check`) is what justifies the restriction.
+
+The oracle computes on the integral normal form.  The substitution
+h = h0*t with the rescaling x -> lam*x identifies A(k[h], a, h - h0) with
+A(k[t], b, t - 1), b = a(h0*t)/lam primitive in Z[t]
+(`integral_normal_form`); `oracle_dims` and `row_homology_dims` rewrite
+their spec to it once, after an exact check of lam*b(t) = a(h0*t).  Under
+h^e = h0^e t^e each truncated matrix is a diagonal rescaling of the one of
+(a, h0), so every rank, pivot column and stabilization history is the same.
+
+A torus twist x -> w x, y -> w^{-1} y scales a term whose right factor has
+weight k by w^k.  So each block of the assembled matrices is filled from a
+rational polynomial and scaled by one scalar, w^k: a rational w^k is folded
+into the polynomial, and a cyclotomic one turns each value into a cell as
+it is written (`_fill_block`).
 """
 
 from __future__ import annotations
@@ -21,14 +35,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .algebra import (
-    GWAElement,
-    GWASpec,
-    Torus,
-    apply_automorphism,
-    commutator,
-)
+from .algebra import GWAElement, GWASpec, Torus, commutator
 from .errors import HypothesisError, InputError, InternalConsistencyError
 from .linalg import (
     Schedule,
@@ -41,7 +50,7 @@ from .linalg import (
     stabilize,
 )
 from .poly import Poly, ShiftSigma, gcd_monic, poly_xgcd, sigma_pow
-from .scalars import field_order
+from .scalars import Cyclotomic, field_order
 
 GENERATORS = ("x", "y", "h")
 GENERATOR_WEIGHTS = {"x": 1, "y": -1, "h": 0}
@@ -241,12 +250,19 @@ def _poly_at(value: GWAElement, weight: int) -> Poly:
 
 
 def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
-                shift: int, spec: GWASpec):
-    """Add the block of p |-> g_poly * sigma^shift(p) between two k[h] copies.
+                c, scale=None):
+    """Add the block of p |-> scale * g_poly * p(h - c) between two k[h]
+    copies; no `scale` means 1.
 
-    Column e is the image of h^e, g_poly * (h - shift*h0)^e, whose degree is
+    Column e is the image of h^e, g_poly * (h - c)^e, whose degree is
     deg(g_poly) + e; each column is built from the previous one on plain
-    coefficient lists.
+    coefficient lists.  On the integral normal form c is an integer and
+    g_poly has integer coefficients, so this recursion is `Fraction`
+    arithmetic on integers, whatever the field.  The twist enters only
+    through `scale`, a cyclotomic power w^k of the torus parameter (a
+    rational one is folded into g_poly by the caller): each value is
+    turned into a cell as it is written, built from the coefficient tuple
+    of w^k, with no field multiplication.
     """
     if g_poly.is_zero():
         return
@@ -255,16 +271,26 @@ def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
         raise InternalConsistencyError(
             f"image degree {top} overflows codomain bound {cod_space.degree_bound}"
         )
-    c = shift * spec.sigma.h0
+    if scale is None:
+        def cells(values):
+            return values
+    else:
+        order, coeffs = scale.order, scale.coeffs
+
+        def cells(values):
+            return [Cyclotomic._make(order, tuple(v * t for t in coeffs)) if v else v
+                    for v in values]
     dom_copies, cod_copies = dom_space.copies, cod_space.copies
     cur = list(g_poly.coeffs)
+    values = cells(cur)
     for e in range(dom_space.degree_bound + 1):
         if e and c:
             # Multiply by (h - c): new[i] = cur[i-1] - c * cur[i].
             cur = [-c * cur[0]] + [a - c * b for a, b in zip(cur, cur[1:])] + [cur[-1]]
+            values = cells(cur)
         col = e * dom_copies + copy_dom
         # Without a shift, column e is g_poly moved up by e degrees.
-        for deg, v in enumerate(cur, 0 if c else e):
+        for deg, v in enumerate(values, 0 if c else e):
             if v:
                 # Storing v into an empty cell skips an exact 0 + v addition.
                 row = rows[deg * cod_copies + copy_cod]
@@ -310,13 +336,16 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     The routes out of a spot (i, k) are the row differential to (i, k-1) and
     the vertical one to (i-1, k+1); row 0 has no vertical route, so a single
     row's spots give the row differential alone.
+
+    The terms that meet in one pair of copies, with the same shift and the
+    same twist weight, act through one polynomial: their sum, which is
+    filled once.
     """
     homology = kind.variant == "homology"
     dom_map, dom_copies = _copy_index(spots_of(p))
     cod_map, cod_copies = _copy_index(spots_of(p - 1 if homology else p + 1))
     dom_space = TruncatedSpace(kind.field_order, dom_copies, b_dom)
     cod_space = TruncatedSpace(kind.field_order, cod_copies, b_cod)
-    rows = [[Fraction(0)] * dom_space.dim for _ in range(cod_space.dim)]
     dce = _dce_terms(spec)
     df = _df_terms(spec)
     # The coefficients are A with the left action untwisted and the right
@@ -324,8 +353,11 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     # routes from the domain's spots: m (x) (u e_J v) |-> (v |> m <| u) (x) e_J.
     # Cohomology reads them from the codomain's, as delta f = f o D, and
     # finds the domain slots feeding each: (delta f)(u e_I v) = u |> f(e_I) <| v.
+    # The torus g scales c of weight k by w^k, so m <| c = w^k (m c): the
+    # products run untwisted and w^k is the block's scalar.
     sign = -1 if homology else 1
     here, there = (dom_map, cod_map) if homology else (cod_map, dom_map)
+    blocks: dict[tuple, Poly] = {}
     for (spot, slot), copy in here.items():
         i, k = spot
         routes = [((i, k - 1), dce[slot])] if k >= 1 else []
@@ -343,21 +375,30 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
                     left, right, dom_slot, cod_slot = u, v, route_slot, slot
                     copy_dom, copy_cod = other, copy
                 pref = _prefactor(spec, sign * slot_weight(dom_slot))
-                if kind.twist is not None:
-                    right = apply_automorphism(kind.twist, right)
-                value = left * pref * right
-                g_poly = _poly_at(value, sign * slot_weight(cod_slot))
-                _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly,
-                            _element_weight(left), spec)
+                g_poly = _poly_at(left * pref * right, sign * slot_weight(cod_slot))
+                weight = _element_weight(right) if kind.twist is not None else 0
+                key = (copy_dom, copy_cod, _element_weight(left), weight)
+                blocks[key] = blocks[key] + g_poly if key in blocks else g_poly
+    rows = [[Fraction(0)] * dom_space.dim for _ in range(cod_space.dim)]
+    h0 = spec.sigma.h0
+    scales = {weight: kind.twist.w ** weight for *_, weight in blocks if weight}
+    for (copy_dom, copy_cod, shift, weight), g_poly in blocks.items():
+        scale = scales.get(weight)
+        if scale is not None and not isinstance(scale, Cyclotomic):
+            # A rational scalar costs nothing folded into the polynomial.
+            g_poly, scale = g_poly * scale, None
+        _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly,
+                    shift * h0, scale)
     return TruncatedMap(dom_space, cod_space, rows)
 
 
-def _check_d_squared(kind: ComplexKind, incoming: list, outgoing: list) -> None:
+def _check_d_squared(kind: ComplexKind, incoming, outgoing) -> None:
     """Exact d o d = 0 between consecutive degrees.
 
-    `outgoing[q]` and `incoming[q]` are maps out of degree q, `incoming` on
-    the larger domain that `outgoing` lands in.  One check per consecutive
-    pair; the first nonzero product raises `InternalConsistencyError`.
+    `outgoing[q]` and `incoming[q]`, for q in 0..len(outgoing)-1, are maps
+    out of degree q, `incoming` on the larger domain that `outgoing` lands
+    in.  One check per consecutive pair; the first nonzero product raises
+    `InternalConsistencyError`.
     """
     for q in range(len(outgoing) - 1):
         if kind.variant == "homology":
@@ -370,17 +411,53 @@ def _check_d_squared(kind: ComplexKind, incoming: list, outgoing: list) -> None:
             )
 
 
+def integral_normal_form(spec: GWASpec) -> tuple[GWASpec, Fraction]:
+    """The algebra A(k[t], b, t - 1) isomorphic to `spec`, and the scalar lam.
+
+    The substitution h = h0*t with the rescaling x -> lam*x identifies
+    A(k[h], a, h - h0) with it for b(t) = a(h0*t)/lam.  lam is the content
+    of a(h0*t), signed so that b is primitive in Z[t] with a positive
+    leading coefficient.  n and d are those of a.
+    """
+    if any(isinstance(c, Cyclotomic) for c in spec.a.coeffs):
+        raise HypothesisError(f"the oracle needs a rational polynomial a, got {spec.a}")
+    h0 = spec.sigma.h0
+    scaled = [c * h0 ** i for i, c in enumerate(spec.a.coeffs)]
+    lam = Fraction(gcd(*(c.numerator for c in scaled)),
+                   lcm(*(c.denominator for c in scaled)))
+    if scaled[-1] < 0:
+        lam = -lam
+    return GWASpec(Poly([c / lam for c in scaled]), ShiftSigma(1)), lam
+
+
+def _normalized(spec: GWASpec) -> GWASpec:
+    """`integral_normal_form(spec)`, checked exactly: h0 = 1, b primitive in
+    Z[t] with a positive leading coefficient, and lam*b(t) = a(h0*t), the
+    right side by Horner's rule."""
+    normal, lam = integral_normal_form(spec)
+    b = normal.a
+    if not (normal.sigma.h0 == 1
+            and all(c.denominator == 1 for c in b.coeffs)
+            and gcd(*(c.numerator for c in b.coeffs)) == 1 and b.leading() > 0
+            and b * lam == spec.a.compose_affine(spec.sigma.h0, 0)):
+        raise InternalConsistencyError(
+            f"{normal} with lam={lam} is not the integral normal form of {spec}"
+        )
+    return normal
+
+
 def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
                 schedule: Schedule | None = None) -> list[StabilizedDim]:
     """Stabilized (co)homology dimensions in degrees 0..p_max.
 
     The complex is that of the total differentials out of degrees
-    0..p_max+1; see `_stabilized_homology` for how each D is evaluated.  A
-    call that stabilizes at its second D assembles each of these degrees
-    once.
+    0..p_max+1, assembled on the integral normal form of `spec`; see
+    `_stabilized_homology` for how each D is evaluated.  A call that
+    stabilizes at its second D assembles each of these degrees once.
     """
     if schedule is None:
         schedule = Schedule.default(spec.n)
+    spec = _normalized(spec)
     return _stabilized_homology(
         kind,
         lambda q, b_dom, b_cod: assemble_total_matrix(spec, kind, q, b_dom, b_cod),
@@ -392,7 +469,8 @@ def row_homology_dims(spec: GWASpec, kind: ComplexKind,
     """Stabilized row (E1-level) dimensions at the four wedge positions.
 
     The complex is that of the row differentials out of wedge degrees
-    0..3, evaluated as in `oracle_dims` (see `_stabilized_homology`).
+    0..3, assembled on the integral normal form and evaluated as in
+    `oracle_dims` (see `_stabilized_homology`).
 
     Positions follow the tensor-factor indexing of the row complexes: for the
     homology variant position j is the Lambda^j spot; for cohomology the
@@ -401,6 +479,7 @@ def row_homology_dims(spec: GWASpec, kind: ComplexKind,
     """
     if schedule is None:
         schedule = Schedule.default(spec.n)
+    spec = _normalized(spec)
     dims = _stabilized_homology(
         kind,
         lambda k, b_dom, b_cod: _assemble_single_row(spec, kind, k, b_dom, b_cod),
@@ -425,9 +504,11 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     degree is assembled once, at the bounds that the schedule's next D
     needs, and every matrix an evaluation uses is sliced from that assembly
     by `TruncatedMap.truncate`, which checks exactly that the cut drops only
-    zeros.  A degree is assembled again only when a D outgrows it.  The
-    d o d = 0 check, which `homology_dim_at` relies on, runs once, on the
-    maps of the first D.
+    zeros.  The d o d = 0 check, which `homology_dim_at` relies on, runs
+    once, on the maps of the first D.  Later Ds slice only the maps that
+    `homology_dim_at` reads: those out of the reported degrees, and the
+    incoming maps out of q+1 (homology) or q-1 (cohomology).  A degree is
+    assembled again only when such a slice outgrows it.
 
     The same check makes the rank of each slice the number of the
     assembly's pivot columns inside the slice's columns.  So each assembly
@@ -445,20 +526,26 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
             assembled[q] = big
         return big.truncate(b_dom, b_dom + margin)
 
+    # Boundaries into degree q come out of degree q+1 in homology and q-1
+    # in cohomology; past either end there are none.
+    step = 1 if kind.variant == "homology" else -1
+    sources = [q + step if 0 <= q + step < count else None for q in range(reported)]
+    # The maps out of and into the reported degrees: after the first D's
+    # d o d check, the only ones read.
+    read = (range(reported), [s for s in sources if s is not None])
+
     def evaluate(d: int):
         nonlocal checked
         reach = schedule.lookahead(d)
-        outgoing = [sliced(q, d, reach) for q in range(count)]
-        incoming = [sliced(q, d + margin, reach) for q in range(count)]
+        out_degrees, in_degrees = read if checked else (range(count), range(count))
+        outgoing = {q: sliced(q, d, reach) for q in out_degrees}
+        incoming = {q: sliced(q, d + margin, reach) for q in in_degrees}
         if not checked:
             _check_d_squared(kind, incoming, outgoing)
             checked = True
         dims = []
-        for q in range(reported):
-            # Boundaries into degree q come out of degree q+1 in homology
-            # and q-1 in cohomology; past either end there are none.
-            source = q + 1 if kind.variant == "homology" else q - 1
-            boundary = (incoming[source] if 0 <= source < count
+        for q, source in enumerate(sources):
+            boundary = (incoming[source] if source is not None
                         else _empty_into(outgoing[q].domain))
             dims.append(homology_dim_at(outgoing[q], boundary))
         return tuple(dims)

@@ -105,6 +105,16 @@ def test_json_roundtrip(capsys):
     assert report.agreement is True
 
 
+def test_verify_echoes_the_algebra_as_given(capsys):
+    """The oracle runs on the integral normal form, h^2 - 1 with step 1
+    here; the report's input echo keeps the user's a and h0."""
+    code, out, _ = run_main(capsys, ["verify", "--a", "h^2-1/4", "--h0", "1/2", "--json"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["input"]["a"] == "h^2 - 1/4" and report["input"]["h0"] == "1/2"
+    assert report["agreement"] is True
+
+
 def test_csv_output(capsys):
     code, out, _ = run_main(capsys, ["coh", "--a", "h^2", "--h0", "1",
                                      "--csv", "--formula-only"])

@@ -18,7 +18,7 @@ from gwa.complexes import (
     row_homology_dims,
 )
 from gwa.errors import HypothesisError, InputError, InternalConsistencyError
-from gwa.formulas import hh_dims
+from gwa.formulas import coh_dims, hh_dims
 from gwa.linalg import Schedule, TruncatedMap, TruncatedSpace, _kernels, rank_rows
 from gwa.poly import Poly, ShiftSigma, gcd_monic, sigma_pow
 from gwa.scalars import zeta
@@ -206,12 +206,24 @@ def test_oracle_assembles_each_degree_once(monkeypatch, kind):
 
 
 def test_oracle_reassembles_when_the_schedule_goes_on(monkeypatch):
+    """At D = 20 the incoming maps outgrow the first assembly (bounds
+    16 + 4 = 20) and the outgoing ones still fit it.  So only degrees with
+    an incoming map that is read are assembled again: 1..3 in homology,
+    0..1 in cohomology (boundaries into degree q come out of q-1)."""
     calls = _count_assemblies(monkeypatch)
     p_max = 2
     stabs = oracle_dims(CUBIC, HOMOLOGY, p_max, Schedule(start=12, window=3))
     assert [d for d, _ in stabs[0].history] == [12, 16, 20]
     assert dims(stabs) == hh_dims(CUBIC.a, CUBIC.sigma, p_max).dims
-    assert len(calls) == 2 * (p_max + 2)
+    assert sorted(p for p, b_dom, _ in calls if b_dom > 20) == [1, 2, 3]
+    assert len(calls) == (p_max + 2) + 3
+
+    calls.clear()
+    stabs = oracle_dims(CUBIC, COHOMOLOGY, p_max, Schedule(start=12, window=3))
+    assert [d for d, _ in stabs[0].history] == [12, 16, 20]
+    assert dims(stabs) == coh_dims(CUBIC.a, CUBIC.sigma, p_max).dims
+    assert sorted(p for p, b_dom, _ in calls if b_dom > 20) == [0, 1]
+    assert len(calls) == (p_max + 2) + 2
 
 
 @pytest.mark.parametrize("kind, window, ranked_assemblies",
@@ -225,10 +237,10 @@ def test_oracle_eliminates_each_ranked_assembly_once(monkeypatch, kind, window,
 
     With p_max 2 the ranked assemblies are those of degrees 1..3 in
     homology (the map out of degree 0 has no rows) and 0..2 in cohomology
-    (the map out of degree 3 only enters the d o d check).  A third D
-    re-assembles every degree.  At D = 20 the outgoing maps still fit the
-    first assembly (16 + n + 1 = 20 for the cubic), so only the incoming
-    ones rank the new one: three more in homology, two in cohomology.
+    (the map out of degree 3 only enters the d o d check).  At a third D,
+    20, the outgoing maps still fit the first assembly (16 + n + 1 = 20 for
+    the cubic), and the incoming maps that are read are assembled again
+    and ranked: three more in homology, two in cohomology.
     """
     ranked = {}
     n_top = []
