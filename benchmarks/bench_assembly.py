@@ -1,18 +1,25 @@
 """Time the matrix assembly inside one oracle pass, per field.
 
     python3 benchmarks/bench_assembly.py --src src
+    python3 benchmarks/bench_assembly.py --src src --fields zeta5 zeta8
     python3 benchmarks/bench_assembly.py --src src --label change --out BENCH_assembly.json
 
 Imports `gwa` from `--src` and wraps `gwa.complexes.assemble_total_matrix`,
 the name `oracle_dims` looks up at each call, with a timer.  A pass is one
 `oracle_dims` call per variant (homology, then cohomology) with p_max 4 on
 a = h^5-2h^4+h^3, h0 = 1, which stabilizes at D = 24.  It runs for each
-field: Q (no twist) and the torus twists w = -1, zeta3, zeta4 and zeta5.
-For each field it prints the median over 5 passes of the assembly
-seconds, the pass seconds and the assembly calls of a pass, with every
-sample.  With `--out`, the result is also stored in that JSON file under
-`--label`, beside a description of the machine it ran on; other labels
-already in the file are kept.
+field named by `--fields` (default: all): Q (no twist) and the torus twists
+w = -1, zeta3, zeta4, zeta5 and zeta8.  For each field it prints the median
+over 5 passes of the assembly time, the pass time and the assembly calls
+of a pass, with every sample.  With `--out`, the result is also stored in
+that JSON file under `--label`, beside a description of the machine it ran
+on; other labels already in the file are kept.
+
+Times are reference seconds of the calibration gauge in
+`oraclebench/calibrate.py` (imported from there, unchanged): a fixed kernel
+runs every few milliseconds while a pass runs, and each time is scaled by
+the kernel's speed during it.  The host's speed drifts by up to 2x over
+minutes, which raw seconds would carry into every comparison.
 """
 
 from __future__ import annotations
@@ -26,9 +33,12 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "oraclebench"))
+import calibrate  # noqa: E402
+
 A = "h^5-2*h^4+h^3"
 P_MAX = 4
-FIELDS = {"Q": None, "w=-1": 2, "zeta3": 3, "zeta4": 4, "zeta5": 5}
+FIELDS = {"Q": None, "w=-1": 2, "zeta3": 3, "zeta4": 4, "zeta5": 5, "zeta8": 8}
 RUNS = 5
 
 
@@ -44,8 +54,9 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
-def one_pass(gwa, order: int | None) -> tuple[float, float, int]:
-    """(assembly seconds, pass seconds, assembly calls) of one pass."""
+def one_pass(gwa, order: int | None, gauge: calibrate.Gauge) -> tuple[float, float, int]:
+    """(assembly time, pass time, assembly calls) of one pass, times in
+    reference seconds."""
     from fractions import Fraction
 
     complexes = gwa.complexes
@@ -56,19 +67,18 @@ def one_pass(gwa, order: int | None) -> tuple[float, float, int]:
     real = complexes.assemble_total_matrix
 
     def timed(*args):
-        started = time.perf_counter()
-        try:
-            return real(*args)
-        finally:
-            spent[0] += time.perf_counter() - started
-            spent[1] += 1
+        result, elapsed = gauge.timed(lambda: real(*args))
+        spent[0] += elapsed
+        spent[1] += 1
+        return result
+
+    def run():
+        for variant in ("homology", "cohomology"):
+            complexes.oracle_dims(spec, complexes.ComplexKind(variant, twist), P_MAX)
 
     complexes.assemble_total_matrix = timed
     try:
-        started = time.perf_counter()
-        for variant in ("homology", "cohomology"):
-            complexes.oracle_dims(spec, complexes.ComplexKind(variant, twist), P_MAX)
-        total = time.perf_counter() - started
+        _, total = gauge.timed(run)
     finally:
         complexes.assemble_total_matrix = real
     return spent[0], total, spent[1]
@@ -79,6 +89,8 @@ def main() -> int:
     parser.add_argument("--src", required=True, help="directory holding the gwa package")
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--fields", nargs="+", choices=list(FIELDS), default=list(FIELDS),
+                        help="fields to run (default: all)")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -92,8 +104,9 @@ def main() -> int:
         print(f"error: imported gwa from {gwa.__file__}, not {src}", file=sys.stderr)
         return 2
     fields = {}
-    for name, order in FIELDS.items():
-        samples = [one_pass(gwa, order) for _ in range(RUNS)]
+    for name in args.fields:
+        with calibrate.Gauge() as gauge:
+            samples = [one_pass(gwa, FIELDS[name], gauge) for _ in range(RUNS)]
         assembly, total, calls = zip(*samples)
         fields[name] = {
             "assembly_s": round(statistics.median(assembly), 4),
@@ -104,8 +117,10 @@ def main() -> int:
         }
         print(f"{name:6} assembly {fields[name]['assembly_s']:.3f} s, "
               f"pass {fields[name]['pass_s']:.3f} s, {calls[0]} assemblies "
-              f"(median of {RUNS})", file=sys.stderr)
-    result = {"a": A, "h0": "1", "p_max": P_MAX, "runs": RUNS, "fields": fields}
+              f"(median of {RUNS}, reference seconds)", file=sys.stderr)
+    result = {"a": A, "h0": "1", "p_max": P_MAX, "runs": RUNS,
+              "unit": f"reference s ({calibrate.REFERENCE_S} s per calibration kernel run)",
+              "fields": fields}
     print(json.dumps(result))
     if args.out is not None:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -1,9 +1,10 @@
 """Fraction-free elimination kernels.
 
-Bareiss-style row echelon over the integers and over the ring of integers of
-a quadratic cyclotomic field (enough for the twists by -1, zeta3, zeta4 and
-zeta6 that appear in practice).  `gwa.linalg` loads this module as
-`_kernels`.
+Bareiss-style row echelon over the integers (`echelon_int`), over the ring
+of integers of a quadratic cyclotomic field (`echelon_quad`: the twists by
+zeta3, zeta4 and zeta6) and over Z[zeta_m] for every cyclotomic field of
+degree above two (`echelon_cyclo`, with the arithmetic of
+`gwa._cyclotomic_ring`).  `gwa.linalg` loads this module as `_kernels`.
 
 Entries after stage r of the Bareiss sweep are r x r minors of the input, so
 every division below is exact; this is what keeps coefficient growth under
@@ -27,11 +28,17 @@ is touched again:
   the eager (piv * x - f * y) / prev since x and f both carry the factor
   prev / hist[s].
 
-Every intermediate value is an integer minor (in Z[z] for the quadratic
-kernel), so each of these divisions is exact.
+Every intermediate value is an integer minor (in Z[z] for the cyclotomic
+kernels), so each of these divisions is exact.  Over Z[z] a division by a
+past pivot q is a product with its cofactor k, the product of the other
+Galois conjugates of q, and an exact division by the rational integer
+N = q * k.
 """
 
 from __future__ import annotations
+
+from .errors import InternalConsistencyError
+
 
 def echelon_int(rows, ncols):
     """Fraction-free row echelon of an integer matrix.
@@ -173,5 +180,78 @@ def echelon_quad(rows, ncols, b, c):
         pivots.append(col)
         k0, k1 = p0 - b * p1, -p1
         hist.append((p0, p1, k0, k1, p0 * k0 - c * p1 * k1, p0 == 1 and p1 == 0))
+        r += 1
+    return r, pivots, m[:r]
+
+
+def echelon_cyclo(rows, ncols, ring):
+    """Fraction-free row echelon over Z[z]/Phi_m, Phi_m of degree > 2.
+
+    Entries are the coefficient tuples of `ring`, a
+    `gwa._cyclotomic_ring.CyclotomicIntegers`.  Same contract as
+    `echelon_int`, idle rows scaled lazily in the same way.  A division by a
+    past pivot q multiplies by its cofactor k and divides exactly by the
+    rational integer N = q * k; both are computed once per stage and kept in
+    `hist`, and q * k is checked to be a nonzero rational integer, so a
+    wrong cofactor raises rather than giving a wrong rank.  In the Bareiss
+    step the cofactor is folded into the two multipliers,
+    (piv * x - f * y) * k = (piv * k) * x - (f * k) * y, one product per
+    cell fewer.  Cells zero in both rows stay zero.
+    """
+    mul, combine, zero = ring.mul, ring.combine, ring.zero
+    m = [list(row) for row in rows]
+    nr = len(m)
+    pivots = []
+    # hist[s] = (q, k, nq): the pivot of stage s, its cofactor and its norm.
+    hist = [(ring.one, ring.one, 1)]
+    stage = [0] * nr
+    r = 0
+    for col in range(ncols):
+        if r == nr:
+            break
+        q = hist[r][0]
+        best = -1
+        best_size = 0
+        for i in range(r, nr):
+            v = m[i][col]
+            if v != zero:
+                s = stage[i]
+                if s != r:
+                    # The current-stage value v * q / hist[s].
+                    _, k, nq = hist[s]
+                    v = [t // nq for t in mul(mul(v, q), k)]
+                size = sum(map(abs, v))
+                if best < 0 or size < best_size:
+                    best, best_size = i, size
+        if best < 0:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+            stage[r], stage[best] = stage[best], stage[r]
+        row_r = m[r]
+        old, k, nq = hist[stage[r]]
+        if old != q:
+            g = mul(q, k)
+            for j in range(col, ncols):
+                y = row_r[j]
+                if y != zero:
+                    row_r[j] = tuple(t // nq for t in mul(g, y))
+        p = row_r[col]
+        for i in range(r + 1, nr):
+            row_i = m[i]
+            f = row_i[col]
+            if f != zero:
+                _, k, nq = hist[stage[i]]
+                combine(row_i, row_r, col, ncols, mul(p, k), mul(f, k), nq)
+                stage[i] = r + 1
+        pivots.append(col)
+        k = ring.cofactor(p)
+        norm = mul(p, k)
+        if not norm[0] or any(norm[1:]):
+            raise InternalConsistencyError(
+                f"pivot {p} times its cofactor {k} is {norm}, not a nonzero "
+                f"rational integer"
+            )
+        hist.append((p, k, norm[0]))
         r += 1
     return r, pivots, m[:r]

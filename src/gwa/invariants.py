@@ -32,7 +32,6 @@ from .linalg import (
     Schedule,
     StabilizedDim,
     field_echelon,
-    kernel_raw,
     rank_rows,
     stabilize,
 )
@@ -265,7 +264,7 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
             raise HypothesisError("induced reflection is not an involution")
     # Fixed space = kernel of (M - Id) on the n-dimensional quotient.
     rows = [[matrix[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return len(kernel_raw(rows, n, order))
+    return n - rank_rows(rows, n, order)
 
 
 def _echelon_reducer(rows, ncols, order):

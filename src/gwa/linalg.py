@@ -3,20 +3,23 @@
 A truncated space is a finite sum of copies of k[h] cut off at a degree
 bound; every dimension count in the package reduces to ranks of exact
 matrices between such spaces.  How to compute over a field is decided once
-per field order (`_backend`).  Ranks over the rationals and over a
-quadratic cyclotomic field are computed fraction-free: rows are scaled to
-integers (or integer pairs) and eliminated with the Bareiss kernels of
-`gwa._rankcore_py`, which scale the rows a stage leaves idle lazily.  The
-exact d o d = 0 test (`compose_is_zero`) scales the outer map's rows the
-same way, each by its own integer, and the whole inner matrix by one.  Over a quadratic field it then runs on integers too: each
-outer entry becomes the 2 x 2 integer block of multiplication by it, and
-each inner entry its two coordinates.  The scaling contract: each row, and
-the inner matrix as a whole, is multiplied by a positive integer, the lcm of
-its denominators, and no `Fraction` is built on the way; so ranks, and
-whether a product is zero, are unchanged.  Every other elimination -- ranks
-over cyclotomic fields of higher degree, kernels, reduction modulo a span --
-is one forward sweep with unit pivots in the field itself (`field_echelon`),
-and the d o d = 0 test over those fields multiplies in the field.
+per field order (`_backend`).  Every rank is computed fraction-free: rows
+are scaled to integers (over Q), to integer pairs (over a quadratic
+cyclotomic field) or to integer coefficient tuples (over Q(zeta_m) of
+degree above two), and eliminated with the Bareiss kernels of
+`gwa._rankcore_py` (`echelon_int`, `echelon_quad`, `echelon_cyclo`), which
+scale the rows a stage leaves idle lazily.  The exact d o d = 0 test
+(`compose_is_zero`) scales the outer map's rows the same way, each by its
+own integer, and the whole inner matrix by one.  Over a quadratic field it
+then runs on integers too: each outer entry becomes the 2 x 2 integer block
+of multiplication by it, and each inner entry its two coordinates.  The
+scaling contract: each row, and the inner matrix as a whole, is multiplied
+by a positive integer, the lcm of its denominators, and no `Fraction` is
+built on the way; so ranks, and whether a product is zero, are unchanged.
+Over fields of degree above two the d o d = 0 test multiplies in the field.
+Kernels and reduction modulo a span need unit pivots, so they take one
+forward sweep with unit pivots in the field itself (`field_echelon`); no
+rank does.
 
 A map's rank is the number of its pivot columns, found by one elimination
 and kept (`TruncatedMap.rank`).  Every elimination picks pivots column by
@@ -51,8 +54,12 @@ class TruncatedSpace:
     """`copies` copies of k[h] truncated at degree <= `degree_bound`.
 
     Basis vectors are indexed degree-major: index(i, t) = i * copies + t for
-    the monomial h^i in copy t.  Degree-major order keeps the operator
-    matrices banded, which is what the fraction-free elimination likes.
+    the monomial h^i in copy t.  Degree-major order makes the space at a
+    smaller bound a prefix of the basis, so a map's matrix at smaller bounds
+    is a top-left block of its matrix at larger ones (`TruncatedMap.truncate`).
+    The assembled matrices are not banded: an image g (h - c)^e with c != 0
+    has terms in every degree below its top, so about a fifth of their
+    entries are nonzero, spread over the whole block.
     """
 
     field_order: int | None
@@ -191,6 +198,30 @@ def _pair_row(row, order):
              b.numerator * (den // b.denominator) if b else 0) for a, b in pairs]
 
 
+def _coeff_row(row, order):
+    """`row` over Q(zeta_order), a field of degree phi > 2, as integer
+    coefficient phi-tuples, scaled by the lcm of all coefficient denominators.
+
+    Entries may be ints, `Fraction`s and `Cyclotomic`s of that order or
+    rational ones of any order.  Zero entries become one shared zero tuple.
+    """
+    zero = (0,) * euler_phi(order)
+    tuples = [zero if not v
+              else v.coeffs if isinstance(v, Cyclotomic) and v.order == order
+              else (_rational(v, order),) + zero[1:]
+              for v in row]
+    den = 1
+    for t in tuples:
+        if t is not zero:
+            for v in t:
+                dv = v.denominator
+                if dv != 1 and den % dv:
+                    den = lcm(den, dv)
+    return [t if t is zero
+            else tuple(v.numerator * (den // v.denominator) if v else 0 for v in t)
+            for t in tuples]
+
+
 def _quad_params(order: int) -> tuple[int, int]:
     phi = cyclotomic_coeffs(order)
     if len(phi) != 3:
@@ -235,6 +266,9 @@ def _backend(field_order):
     integers (over the field itself for degree > 2) with A B = 0 exactly when
     outer o inner = 0.  The Bareiss kernels are looked up on `_kernels` at
     each call, so a wrapper installed there later still sees every call.
+    Over a field of degree > 2 the ring arithmetic of `echelon_cyclo` is
+    imported and compiled here, on the first use of the order, not with the
+    package.
     """
     order = _field(field_order)
     if order is None:
@@ -262,9 +296,12 @@ def _backend(field_order):
             return blocks, [[e[k] for e in row] for row in scaled for k in (0, 1)]
 
     else:
+        from ._cyclotomic_ring import CyclotomicIntegers
+
+        ring = CyclotomicIntegers(order, cyclotomic_coeffs(order))
+
         def eliminate(rows, ncols):
-            pivots, ech = field_echelon(rows, ncols, order)
-            return len(pivots), pivots, ech
+            return _kernels.echelon_cyclo([_coeff_row(row, order) for row in rows], ncols, ring)
 
         def in_field(rows):
             return [[_to_field(v, order) if v else 0 for v in row] for row in rows]
@@ -286,10 +323,12 @@ def rank_rows(rows, ncols, field_order=None) -> int:
 def field_echelon(rows, ncols, field_order=None, columns=None):
     """Forward elimination with unit pivots in Q or Q(zeta_m).
 
-    Entries become `Fraction`s, or `Cyclotomic`s when the field has degree
-    above one.  Pivot columns are tried in the order `columns` (default left
-    to right); each pivot row is scaled to a leading 1 and cleared from the
-    rows below it only.  Returns (pivot_columns, echelon_rows): row i has a
+    It serves `kernel_raw` and reduction modulo a span, which need unit
+    pivots; ranks take the Bareiss kernels (`_backend`).  Entries become
+    `Fraction`s, or `Cyclotomic`s when the field has degree above one.
+    Pivot columns are tried in the order `columns` (default left to right);
+    each pivot row is scaled to a leading 1 and cleared from the rows below
+    it only.  Returns (pivot_columns, echelon_rows): row i has a
     1 in column pivot_columns[i] and zeros in the earlier pivot columns.
     """
     order = _field(field_order)

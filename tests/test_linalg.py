@@ -4,14 +4,17 @@ from math import lcm
 
 import pytest
 
+import gwa.linalg
+from gwa._cyclotomic_ring import CyclotomicIntegers
 from gwa.algebra import GWASpec, Torus
 from gwa.complexes import ComplexKind, assemble_total_matrix
-from gwa.errors import StabilizationError
+from gwa.errors import InternalConsistencyError, StabilizationError
 from gwa.invariants import h0_bruteforce
 from gwa.linalg import (
     Schedule,
     TruncatedMap,
     TruncatedSpace,
+    _coeff_row,
     _int_row,
     _kernels,
     _pair_row,
@@ -24,7 +27,7 @@ from gwa.linalg import (
     stabilize,
 )
 from gwa.poly import Poly, ShiftSigma, sigma_pow
-from gwa.scalars import Cyclotomic, euler_phi, zeta
+from gwa.scalars import Cyclotomic, cyclotomic_coeffs, euler_phi, zeta
 
 H = Poly.gen()
 S1 = ShiftSigma(1)
@@ -327,7 +330,8 @@ def _assert_positive_multiple(out, row, order, as_scalar):
     assert all(as_scalar(e) == k * v for e, v in zip(out, row))
 
 
-@pytest.mark.parametrize("order", [None, 3, 4, 6], ids=["Q", "zeta3", "zeta4", "zeta6"])
+@pytest.mark.parametrize("order", [None, 3, 4, 6, 5, 12],
+                         ids=["Q", "zeta3", "zeta4", "zeta6", "zeta5", "zeta12"])
 def test_row_preparation_scales_rows_by_positive_integers(order):
     rng = random.Random(41 if order is None else order)
     for _ in range(60):
@@ -339,8 +343,9 @@ def test_row_preparation_scales_rows_by_positive_integers(order):
                 assert all(type(e) is int for e in out)
                 _assert_positive_multiple(out, row, order, Fraction)
             else:
-                out = _pair_row(row, order)
-                assert all(type(a) is int and type(b) is int for a, b in out)
+                d = euler_phi(order)
+                out = _pair_row(row, order) if d == 2 else _coeff_row(row, order)
+                assert all(len(e) == d and all(type(a) is int for a in e) for e in out)
                 _assert_positive_multiple(out, row, order, lambda e: Cyclotomic(order, e))
         assert rank_rows(rows, nc, order) == len(field_echelon(rows, nc, order)[0])
 
@@ -494,8 +499,8 @@ def lazy_catch_ups(rows, ncols, update, size, zero, one):
 
 
 def assembled_maps(suite, kinds):
-    """Banded, degree-major inputs: the maps out of degrees 1..3 at small
-    bounds, for the suite's polynomials of degree 2 and 3."""
+    """Degree-major inputs: the maps out of degrees 1..3 at small bounds,
+    for the suite's polynomials of degree 2 and 3."""
     for spec in suite:
         if spec.n in (2, 3):
             for kind in kinds:
@@ -543,7 +548,8 @@ def test_eliminations_look_the_kernels_up_at_call_time(monkeypatch):
     reference kept from before the patch would bypass them."""
     spec = GWASpec(H ** 2 - 1, S1)
     kinds = {"echelon_int": ComplexKind("homology"),
-             "echelon_quad": ComplexKind("homology", Torus(zeta(3)))}
+             "echelon_quad": ComplexKind("homology", Torus(zeta(3))),
+             "echelon_cyclo": ComplexKind("homology", Torus(zeta(5)))}
     for kind in kinds.values():
         rank_rows([[1]], 1, kind.field_order)
     calls = []
@@ -555,7 +561,8 @@ def test_eliminations_look_the_kernels_up_at_call_time(monkeypatch):
         monkeypatch.setattr(_kernels, name, spy)
     assert rank_rows([[1, 2], [2, 4]], 2) == 1
     assert rank_rows([[zeta(3), 1], [zeta(3) ** 2, zeta(3)]], 2, 3) == 1
-    assert calls == ["echelon_int", "echelon_quad"]
+    assert rank_rows([[zeta(5), 1], [zeta(5) ** 2, zeta(5)]], 2, 5) == 1
+    assert calls == ["echelon_int", "echelon_quad", "echelon_cyclo"]
     for name, kind in kinds.items():
         m = spec.n + 1
         dp = assemble_total_matrix(spec, kind, 1, 2, 2 + m)
@@ -655,3 +662,153 @@ def test_echelon_quad_matches_reference(suite, order):
         seen["lazy"] += lazy_catch_ups(
             rows, nc, update, lambda v: abs(v[0]) + abs(v[1]), (0, 0), (1, 0))
     assert all(seen.values()), seen
+
+
+# Z[zeta_m] for fields of degree > 2 and its Bareiss kernel --------------------
+
+
+def _ring(order):
+    return CyclotomicIntegers(order, cyclotomic_coeffs(order))
+
+
+@pytest.mark.parametrize("order", [5, 7, 8, 9, 12, 61])
+def test_cyclotomic_integers_match_the_field(order):
+    """The compiled product is `Cyclotomic.__mul__`, the cofactor over the
+    norm is `Cyclotomic.inverse`, and `combine` is the Bareiss step
+    (p x - f y) / n, on integer coefficient tuples."""
+    ring = _ring(order)
+    d = euler_phi(order)
+    rng = random.Random(order)
+    size = 9 if d < 10 else 2
+    for _ in range(20 if d < 10 else 2):
+        p, f, x, y = (tuple(rng.randint(-size, size) for _ in range(d)) for _ in range(4))
+        if not any(p):
+            continue
+        assert ring.mul(p, x) == (Cyclotomic(order, p) * Cyclotomic(order, x)).coeffs
+        k = ring.cofactor(p)
+        norm = ring.mul(p, k)
+        assert norm[0] > 0 and not any(norm[1:])
+        assert Cyclotomic(order, k) * Fraction(1, norm[0]) == Cyclotomic(order, p).inverse()
+        t = Cyclotomic(order, p) * Cyclotomic(order, x) - Cyclotomic(order, f) * Cyclotomic(order, y)
+        for n in (1, norm[0]):
+            row = [tuple(c * n for c in x)]
+            ring.combine(row, [tuple(c * n for c in y)], 0, 1, p, f, n)
+            assert row == [t.coeffs]
+
+
+def test_a_wrong_cofactor_raises(monkeypatch):
+    """q * cofactor(q) is checked at every pivot: a cofactor off by the unit
+    zeta gives a product that is not a rational integer."""
+    real = CyclotomicIntegers.cofactor
+    monkeypatch.setattr(CyclotomicIntegers, "cofactor",
+                        lambda self, q: self.mul(real(self, q), (0, 1, 0, 0)))
+    with pytest.raises(InternalConsistencyError):
+        rank_rows([[zeta(5), 1], [1, zeta(5) ** 2]], 2, 5)
+
+
+def _field_size(v):
+    return sum(abs(c) for c in v.coeffs)
+
+
+def echelon_cyclo_reference(rows, ncols, order):
+    """Eager Bareiss over Z[zeta_order] in `Cyclotomic` arithmetic: every row
+    below the pivot is updated at every stage, with a field division by the
+    previous pivot."""
+    zero = Cyclotomic.from_rational(order, 0)
+    m = [[Cyclotomic(order, e) for e in row] for row in rows]
+    nr = len(m)
+    pivots = []
+    prev = Cyclotomic.from_rational(order, 1)
+    r = 0
+    for col in range(ncols):
+        if r == nr:
+            break
+        candidates = [i for i in range(r, nr) if m[i][col]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: _field_size(m[i][col]))
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][col]
+        inv = prev.inverse()
+        for i in range(r + 1, nr):
+            f = m[i][col]
+            if f or piv != prev:
+                m[i][col:] = [(piv * x - f * y) * inv if x or y else zero
+                              for x, y in zip(m[i][col:], m[r][col:])]
+        pivots.append(col)
+        prev = piv
+        r += 1
+    return r, pivots, [[tuple(int(c) for c in e.coeffs) for e in row] for row in m[:r]]
+
+
+def _random_cyclo_rows(rng, d):
+    """Integer tuple rows with zero columns, repeated rows and rows zero in
+    their first few columns, which sit idle through the first stages."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+    zero = (0,) * d
+    rows = [[tuple(rng.randint(-3, 3) for _ in range(d)) if rng.random() < 0.6 else zero
+             for _ in range(nc)] for _ in range(nr)]
+    for row in rows:
+        if rng.random() < 0.4:
+            lead = rng.randint(1, nc)
+            row[:lead] = [zero] * lead
+    if nr > 2 and rng.random() < 0.4:
+        rows[-1] = list(rows[rng.randrange(nr - 1)])
+    if nc > 1 and rng.random() < 0.3:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = zero
+    return rows, nc
+
+
+@pytest.mark.parametrize("order", [5, 7, 8, 12])
+def test_echelon_cyclo_matches_reference(suite, order):
+    """The lazy kernel gives the eager sweep's (rank, pivots, rows), and the
+    pivot columns of `field_echelon`, on random matrices and, over zeta5 and
+    zeta8, on assembled ones of both variants."""
+    ring = _ring(order)
+    d = euler_phi(order)
+    rng = random.Random(order)
+    one = Cyclotomic.from_rational(order, 1)
+    seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0, "lazy": 0}
+    for _ in range(60):
+        rows, nc = _random_cyclo_rows(rng, d)
+        nr = len(rows)
+        got = _kernels.echelon_cyclo(rows, nc, ring)
+        assert got == echelon_cyclo_reference(rows, nc, order)
+        rank, pivots, ech = got
+        field_rows = [[Cyclotomic(order, e) for e in row] for row in rows]
+        assert pivots == field_echelon(field_rows, nc, order)[0]
+        seen["deficient"] += rank < min(nr, nc)
+        seen["zero_column"] += any(all(not any(row[j]) for row in rows) for j in range(nc))
+        seen["nontrivial_prev"] += rank >= 2 and ech[0][pivots[0]] != ring.one
+        seen["lazy"] += lazy_catch_ups(
+            field_rows, nc, lambda p, x, f, y, q: (p * x - f * y) / q, _field_size,
+            0 * one, one)
+    assert all(seen.values()), seen
+    if order in (5, 8):
+        # The eager sweep is slow in the field, so on assembled matrices the
+        # kernel is held to the field's rank and pivot columns only.
+        kinds = [ComplexKind(variant, Torus(zeta(order))) for variant in ("homology", "cohomology")]
+        for tm in assembled_maps(suite, kinds):
+            rank, pivots, _ = _kernels.echelon_cyclo(
+                [_coeff_row(row, order) for row in tm.rows], tm.domain.dim, ring)
+            assert rank == len(pivots)
+            assert pivots == field_echelon(tm.rows, tm.domain.dim, order)[0]
+
+
+@pytest.mark.parametrize("order", [None, 3, 5, 7, 8, 12, 61])
+def test_ranks_never_take_the_field_sweep(monkeypatch, order):
+    """`rank_rows` and `TruncatedMap.rank` eliminate with a Bareiss kernel
+    over every field; `field_echelon` is only for kernels and reduction."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank took field_echelon")
+
+    monkeypatch.setattr(gwa.linalg, "field_echelon", refuse)
+    w = zeta(order) if order else Fraction(1)
+    rows = [[w, 1, 0], [w * w, w, 0], [0, 2, w]]
+    assert rank_rows(rows, 3, order) == 2
+    if order == 5:
+        spec = GWASpec(H ** 2 - 1, S1)
+        dp = assemble_total_matrix(spec, ComplexKind("homology", Torus(w)), 1, 6, 9)
+        assert dp.rank() > dp.truncate(2, 5).rank() > 0
