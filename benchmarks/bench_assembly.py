@@ -1,19 +1,22 @@
-"""Time the matrix assembly inside one oracle pass, per field.
+"""Time the matrix assembly and the d o d = 0 check inside one oracle pass,
+per field.
 
     python3 benchmarks/bench_assembly.py --src src
     python3 benchmarks/bench_assembly.py --src src --fields zeta5 zeta8
     python3 benchmarks/bench_assembly.py --src src --label change --out BENCH_assembly.json
 
-Imports `gwa` from `--src` and wraps `gwa.complexes.assemble_total_matrix`,
-the name `oracle_dims` looks up at each call, with a timer.  A pass is one
-`oracle_dims` call per variant (homology, then cohomology) with p_max 4 on
-a = h^5-2h^4+h^3, h0 = 1, which stabilizes at D = 24.  It runs for each
-field named by `--fields` (default: all): Q (no twist) and the torus twists
-w = -1, zeta3, zeta4, zeta5 and zeta8.  For each field it prints the median
-over 5 passes of the assembly time, the pass time and the assembly calls
-of a pass, with every sample.  With `--out`, the result is also stored in
-that JSON file under `--label`, beside a description of the machine it ran
-on; other labels already in the file are kept.
+Imports `gwa` from `--src` and wraps `gwa.complexes.assemble_total_matrix`
+and `gwa.complexes.compose_is_zero`, the names the oracle looks up at each
+call, with a timer.  A pass is one `oracle_dims` call per variant
+(homology, then cohomology) with p_max 4 on a = h^5-2h^4+h^3, h0 = 1, which
+stabilizes at D = 24.  It runs for each field named by `--fields`
+(default: all): Q (no twist) and the torus twists w = -1, zeta3, zeta4,
+zeta5 and zeta8.  For each field it prints the median over 5 passes of the
+assembly time, the time inside the d o d = 0 check (`dod_s`), the pass
+time and the assembly calls of a pass, with every sample.  With `--out`,
+the result is also stored in that JSON file under `--label`, beside a
+description of the machine it ran on; other labels already in the file are
+kept.
 
 Times are reference seconds of the calibration gauge in
 `oraclebench/calibrate.py` (imported from there, unchanged): a fixed kernel
@@ -54,34 +57,40 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
-def one_pass(gwa, order: int | None, gauge: calibrate.Gauge) -> tuple[float, float, int]:
-    """(assembly time, pass time, assembly calls) of one pass, times in
-    reference seconds."""
+def one_pass(gwa, order: int | None,
+             gauge: calibrate.Gauge) -> tuple[float, float, float, int]:
+    """(assembly time, d o d check time, pass time, assembly calls) of one
+    pass, times in reference seconds."""
     from fractions import Fraction
 
     complexes = gwa.complexes
     spec = gwa.algebra.GWASpec(gwa.poly.parse_poly(A), gwa.poly.ShiftSigma(1))
     twist = None if order is None else gwa.algebra.Torus(
         Fraction(-1) if order == 2 else gwa.scalars.zeta(order))
-    spent = [0.0, 0]
-    real = complexes.assemble_total_matrix
+    spent = [0.0, 0.0, 0]
+    real, real_check = complexes.assemble_total_matrix, complexes.compose_is_zero
 
     def timed(*args):
         result, elapsed = gauge.timed(lambda: real(*args))
         spent[0] += elapsed
-        spent[1] += 1
+        spent[2] += 1
+        return result
+
+    def timed_check(*args):
+        result, elapsed = gauge.timed(lambda: real_check(*args))
+        spent[1] += elapsed
         return result
 
     def run():
         for variant in ("homology", "cohomology"):
             complexes.oracle_dims(spec, complexes.ComplexKind(variant, twist), P_MAX)
 
-    complexes.assemble_total_matrix = timed
+    complexes.assemble_total_matrix, complexes.compose_is_zero = timed, timed_check
     try:
         _, total = gauge.timed(run)
     finally:
-        complexes.assemble_total_matrix = real
-    return spent[0], total, spent[1]
+        complexes.assemble_total_matrix, complexes.compose_is_zero = real, real_check
+    return spent[0], spent[1], total, spent[2]
 
 
 def main() -> int:
@@ -107,15 +116,18 @@ def main() -> int:
     for name in args.fields:
         with calibrate.Gauge() as gauge:
             samples = [one_pass(gwa, FIELDS[name], gauge) for _ in range(RUNS)]
-        assembly, total, calls = zip(*samples)
+        assembly, dod, total, calls = zip(*samples)
         fields[name] = {
             "assembly_s": round(statistics.median(assembly), 4),
+            "dod_s": round(statistics.median(dod), 4),
             "pass_s": round(statistics.median(total), 4),
             "assembly_calls": statistics.median(calls),
             "assembly_samples_s": [round(v, 4) for v in assembly],
+            "dod_samples_s": [round(v, 4) for v in dod],
             "pass_samples_s": [round(v, 4) for v in total],
         }
         print(f"{name:6} assembly {fields[name]['assembly_s']:.3f} s, "
+              f"d o d {fields[name]['dod_s']:.3f} s, "
               f"pass {fields[name]['pass_s']:.3f} s, {calls[0]} assemblies "
               f"(median of {RUNS}, reference seconds)", file=sys.stderr)
     result = {"a": A, "h0": "1", "p_max": P_MAX, "runs": RUNS,

@@ -48,19 +48,6 @@ from .errors import (
     StabilizationError,
 )
 from .formulas import DimReport, coh_dims, duality_flag, group_coh_dims, hh_dims, twisted_dims
-from .invariants import (
-    GroupClassData,
-    Reflectivity,
-    exp_triviality_on_h0,
-    group_report,
-    h0_bruteforce,
-    invariant_gwa,
-    omega_fixed_dim,
-    reflectivity,
-    simplicity_check,
-    twisted_h0_bruteforce,
-    verify_invariant_identity,
-)
 from .linalg import (
     Schedule,
     StabilizedDim,
@@ -82,3 +69,28 @@ from .poly import (
 from .scalars import Cyclotomic, zeta
 
 __version__ = "0.1.0"
+
+#: Names re-exported from `gwa.invariants`, which is imported on the first
+#: lookup of one of them: the oracle's commands do not use it, and every
+#: process that imports `gwa` would otherwise compile it.
+_INVARIANTS = frozenset({
+    "GroupClassData",
+    "Reflectivity",
+    "exp_triviality_on_h0",
+    "group_report",
+    "h0_bruteforce",
+    "invariant_gwa",
+    "omega_fixed_dim",
+    "reflectivity",
+    "simplicity_check",
+    "twisted_h0_bruteforce",
+    "verify_invariant_identity",
+})
+
+
+def __getattr__(name: str):
+    if name in _INVARIANTS:
+        from . import invariants
+
+        return getattr(invariants, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -44,14 +44,6 @@ from .errors import (
     StabilizationError,
 )
 from .formulas import coh_dims, duality_flag, hh_dims, twisted_dims
-from .invariants import (
-    GroupClassData,
-    group_report,
-    h0_bruteforce,
-    invariant_gwa,
-    twisted_h0_bruteforce,
-    verify_invariant_identity,
-)
 from .linalg import Schedule
 from .poly import Poly, ShiftSigma, degree_invariants, format_poly, parse_poly
 from .scalars import parse_rational, zeta
@@ -208,6 +200,10 @@ def cmd_table(args) -> RunReport:
 
 
 def cmd_invariants(args) -> RunReport:
+    # `gwa.invariants` is imported by the commands that use it only, so the
+    # oracle's commands do not compile it.
+    from .invariants import invariant_gwa, verify_invariant_identity
+
     report, spec = _start_report(args, r=args.r)
     if args.r < 1:
         raise InputError("r must be >= 1")
@@ -229,6 +225,8 @@ def cmd_invariants(args) -> RunReport:
 
 
 def cmd_group(args) -> RunReport:
+    from .invariants import GroupClassData, group_report
+
     if args.classes_file:
         try:
             with open(args.classes_file, "r", encoding="utf-8") as fh:
@@ -253,6 +251,8 @@ def cmd_group(args) -> RunReport:
 def cmd_selftest(args) -> RunReport:
     """Seeded property battery over a few built-in algebras."""
     import random
+
+    from .invariants import h0_bruteforce, twisted_h0_bruteforce
 
     rng = random.Random(args.seed)
     report = RunReport(SCHEMA_VERSION, "selftest", {"seed": args.seed})

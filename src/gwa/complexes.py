@@ -27,6 +27,11 @@ weight k by w^k.  So each block of the assembled matrices is filled from a
 rational polynomial and scaled by one scalar, w^k: a rational w^k is folded
 into the polynomial, and a cyclotomic one turns each value into a cell as
 it is written (`_fill_block`).
+
+Each block is an operator p |-> g(h) p(h - c), with the shift c the weight
+of the factor acting on the left, one of -1, 0 and 1 (checked in
+`_assemble`).  That makes d o d = 0 decidable on the columns of degree at
+most `D_SQUARED_BOUND`, at every truncation at once (`_check_d_squared`).
 """
 
 from __future__ import annotations
@@ -62,6 +67,20 @@ BASIS = {
     2: (("x", "y"), ("x", "h"), ("y", "h")),
     3: (("x", "y", "h"),),
 }
+
+
+#: Largest |shift| c of a block p |-> g(h) p(h - c) of an assembled map:
+#: the weight of the factor acting on the left, which is x, y or a
+#: polynomial in h.  `_assemble` checks it on every block.
+MAX_SHIFT = 1
+
+#: Domain degree bound at which d o d = 0 is certified.  A block of d o d
+#: is p |-> sum_s G_s(h) p(h - s) with |s| <= 2 * MAX_SHIFT, so it has at
+#: most 2 * (2 * MAX_SHIFT) + 1 shifts.  If it kills 1, h, ...,
+#: h^(2 * (2 * MAX_SHIFT)), every G_s is zero, because the matrix of the
+#: (h - s)^e over k(h) is a Vandermonde matrix in distinct values.  So the
+#: bound is 2 * (2 * MAX_SHIFT) = 4.
+D_SQUARED_BOUND = 2 * (2 * MAX_SHIFT)
 
 
 def slot_weight(slot: tuple) -> int:
@@ -339,7 +358,8 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
 
     The terms that meet in one pair of copies, with the same shift and the
     same twist weight, act through one polynomial: their sum, which is
-    filled once.
+    filled once.  A shift beyond `MAX_SHIFT` raises
+    `InternalConsistencyError`: the d o d certificate assumes none.
     """
     homology = kind.variant == "homology"
     dom_map, dom_copies = _copy_index(spots_of(p))
@@ -383,6 +403,10 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     h0 = spec.sigma.h0
     scales = {weight: kind.twist.w ** weight for *_, weight in blocks if weight}
     for (copy_dom, copy_cod, shift, weight), g_poly in blocks.items():
+        if abs(shift) > MAX_SHIFT:
+            raise InternalConsistencyError(
+                f"block shift {shift} exceeds the certified bound {MAX_SHIFT}"
+            )
         scale = scales.get(weight)
         if scale is not None and not isinstance(scale, Cyclotomic):
             # A rational scalar costs nothing folded into the polynomial.
@@ -392,20 +416,28 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     return TruncatedMap(dom_space, cod_space, rows)
 
 
-def _check_d_squared(kind: ComplexKind, incoming, outgoing) -> None:
-    """Exact d o d = 0 between consecutive degrees.
+def _check_d_squared(kind: ComplexKind, count: int, map_out, margin: int) -> None:
+    """Exact d o d = 0 between the maps out of consecutive degrees < count,
+    certified once for every truncation bound.
 
-    `outgoing[q]` and `incoming[q]`, for q in 0..len(outgoing)-1, are maps
-    out of degree q, `incoming` on the larger domain that `outgoing` lands
-    in.  One check per consecutive pair; the first nonzero product raises
-    `InternalConsistencyError`.
+    `map_out(q, b_dom)` is the map out of degree q at bounds
+    (b_dom, b_dom + margin).  Each product takes the inner map at domain
+    bound B = `D_SQUARED_BOUND` and the outer one at B + margin.  The
+    assembly's overflow check bounds every block's polynomial degree by the
+    margin, so these slices hold the whole images of the domain columns of
+    degree <= B, and the product is the composite on them, exactly.  A
+    block of d o d is sum_s G_s(h) p(h - s) over at most B + 1 shifts s (the
+    `_assemble` guard), so if it kills 1, h, ..., h^B, then every G_s = 0
+    and it is zero at every bound (see `D_SQUARED_BOUND`).
+
+    The certificate trusts the block form: a corruption of the matrices
+    that bypasses `_fill_block` and lies only in columns of degree > B is
+    not seen.  The first nonzero product raises `InternalConsistencyError`.
     """
-    for q in range(len(outgoing) - 1):
-        if kind.variant == "homology":
-            ok = compose_is_zero(incoming[q], outgoing[q + 1])
-        else:
-            ok = compose_is_zero(incoming[q + 1], outgoing[q])
-        if not ok:
+    bound = D_SQUARED_BOUND
+    for q in range(count - 1):
+        outer, inner = (q, q + 1) if kind.variant == "homology" else (q + 1, q)
+        if not compose_is_zero(map_out(outer, bound + margin), map_out(inner, bound)):
             raise InternalConsistencyError(
                 f"d o d != 0 at degree {q} ({kind.variant}, twist={kind.twist})"
             )
@@ -504,13 +536,19 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     degree is assembled once, at the bounds that the schedule's next D
     needs, and every matrix an evaluation uses is sliced from that assembly
     by `TruncatedMap.truncate`, which checks exactly that the cut drops only
-    zeros.  The d o d = 0 check, which `homology_dim_at` relies on, runs
-    once, on the maps of the first D.  Later Ds slice only the maps that
-    `homology_dim_at` reads: those out of the reported degrees, and the
-    incoming maps out of q+1 (homology) or q-1 (cohomology).  A degree is
-    assembled again only when such a slice outgrows it.
+    zeros.  Every D slices only the maps that `homology_dim_at` reads:
+    those out of the reported degrees, and the incoming maps out of q+1
+    (homology) or q-1 (cohomology).  A degree is assembled again only when
+    such a slice outgrows it.
 
-    The same check makes the rank of each slice the number of the
+    The d o d = 0 check, which `homology_dim_at` relies on, runs once per
+    call, before the first `homology_dim_at`, at the small bound
+    `D_SQUARED_BOUND` that certifies it for every D (`_check_d_squared`).
+    Its maps are slices of the first D's assemblies.  A degree is assembled
+    at the certificate's bounds only if no D reads it (the map out of
+    p_max+1 in cohomology), or if its first assembly is smaller than them.
+
+    The check also makes the rank of each slice the number of the
     assembly's pivot columns inside the slice's columns.  So each assembly
     that is ranked is eliminated once, the first time one of its slices is
     ranked, and the outgoing and incoming ranks at every later D it covers
@@ -530,18 +568,16 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     # in cohomology; past either end there are none.
     step = 1 if kind.variant == "homology" else -1
     sources = [q + step if 0 <= q + step < count else None for q in range(reported)]
-    # The maps out of and into the reported degrees: after the first D's
-    # d o d check, the only ones read.
-    read = (range(reported), [s for s in sources if s is not None])
+    in_degrees = [s for s in sources if s is not None]
 
     def evaluate(d: int):
         nonlocal checked
         reach = schedule.lookahead(d)
-        out_degrees, in_degrees = read if checked else (range(count), range(count))
-        outgoing = {q: sliced(q, d, reach) for q in out_degrees}
+        outgoing = {q: sliced(q, d, reach) for q in range(reported)}
         incoming = {q: sliced(q, d + margin, reach) for q in in_degrees}
         if not checked:
-            _check_d_squared(kind, incoming, outgoing)
+            _check_d_squared(kind, count,
+                             lambda q, b_dom: sliced(q, b_dom, D_SQUARED_BOUND), margin)
             checked = True
         dims = []
         for q, source in enumerate(sources):

@@ -17,6 +17,11 @@ scaling contract: each row, and the inner matrix as a whole, is multiplied
 by a positive integer, the lcm of its denominators, and no `Fraction` is
 built on the way; so ranks, and whether a product is zero, are unchanged.
 Over fields of degree above two the d o d = 0 test multiplies in the field.
+The oracle runs that test once per call and on small matrices only: the
+inner map at domain degree bound 4 and the outer one at 4 plus the margin.
+Each block of an assembled map shifts by at most one step, so a product
+that kills the columns of degree <= 4 is zero at every bound
+(`gwa.complexes._check_d_squared` states the lemma and its limits).
 Kernels and reduction modulo a span need unit pivots, so they take one
 forward sweep with unit pivots in the field itself (`field_echelon`); no
 rank does.
@@ -467,7 +472,9 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
     """dim ker(dp) - dim(ker(dp) meet im(dnext)), from three ranks.
 
     Precondition: dp o dnext = 0 on every vector that dnext maps into dp's
-    domain (callers check d o d = 0 exactly, see `compose_is_zero`).  Then
+    domain.  The oracle certifies d o d = 0 exactly, once per call and for
+    every bound, before its first call here (`compose_is_zero` at degree
+    bound 4; see `gwa.complexes._check_d_squared`).  Then
     a boundary of degree <= dp's domain bound lies in ker(dp), so
     ker(dp) meet im(N) = im(N) meet L, with N = dnext's matrix and L the
     coordinates of dp's domain, the lowest ones in degree-major order.  And

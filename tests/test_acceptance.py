@@ -174,7 +174,7 @@ def test_criterion_7_reflection_fixed_dimension():
 def test_criterion_8_property_suite(suite):
     failures = []
     # d o d = 0 on assembled complexes, all kinds, twisted included: the
-    # oracle checks it exactly at its first D, here 12.
+    # oracle certifies it exactly, once, at degree bound 4.
     chosen = [suite[0], suite[6], suite[10]]
     kinds = [HOMOLOGY, COHOMOLOGY,
              ComplexKind("homology", Torus(Fraction(-1))),

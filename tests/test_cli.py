@@ -246,6 +246,20 @@ def test_import_leaves_out_concurrent_futures():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_out_the_invariants():
+    # The oracle's commands never read `gwa.invariants`; the package still
+    # re-exports its names, importing it on the first lookup.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    code = ("import sys, gwa, gwa.cli; print('gwa.invariants' in sys.modules); "
+            "from gwa.invariants import group_report; "
+            "print(gwa.group_report is group_report)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def _table(out):
     """The echo line, the (kind, source) of each result row, and the
     summary lines present, of a table report."""

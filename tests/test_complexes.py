@@ -6,6 +6,7 @@ from gwa.algebra import GWASpec, Torus, apply_automorphism
 import gwa.complexes
 from gwa.complexes import (
     COHOMOLOGY,
+    D_SQUARED_BOUND,
     HOMOLOGY,
     ComplexKind,
     _assemble_single_row,
@@ -14,12 +15,20 @@ from gwa.complexes import (
     bezout_witness,
     center_dim,
     euler_homotopy_check,
+    integral_normal_form,
     oracle_dims,
     row_homology_dims,
 )
 from gwa.errors import HypothesisError, InputError, InternalConsistencyError
 from gwa.formulas import coh_dims, hh_dims
-from gwa.linalg import Schedule, TruncatedMap, TruncatedSpace, _kernels, rank_rows
+from gwa.linalg import (
+    Schedule,
+    TruncatedMap,
+    TruncatedSpace,
+    _kernels,
+    compose_is_zero,
+    rank_rows,
+)
 from gwa.poly import Poly, ShiftSigma, gcd_monic, sigma_pow
 from gwa.scalars import zeta
 
@@ -135,8 +144,8 @@ def test_twisted_row_differentials_match_displayed_formulas(w):
 
 
 def test_d_compose_d_zero_all_kinds():
-    """The oracle's exact d o d = 0 check at its first D, 10, on the maps
-    out of degrees 0..4; a nonzero product raises."""
+    """The oracle's exact d o d = 0 certificate, at degree bound 4, on the
+    maps out of degrees 0..4; a nonzero product raises."""
     specs = [WEYL, SQFREE, GWASpec(Poly([0, 0, 1]), ShiftSigma(Fraction(1, 2)))]
     kinds = [HOMOLOGY, COHOMOLOGY,
              ComplexKind("homology", Torus(Fraction(-1))),
@@ -144,6 +153,188 @@ def test_d_compose_d_zero_all_kinds():
     for spec in specs:
         for kind in kinds:
             assert len(oracle_dims(spec, kind, 3, Schedule(start=10))) == 4
+
+
+def _product_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
+    """outer o inner = 0, as a plain product of the cells in the field."""
+    inner_rows = [[(t, v) for t, v in enumerate(row) if v] for row in inner.rows]
+    for row in outer.rows:
+        acc = {}
+        for j, c in enumerate(row):
+            if c:
+                for t, v in inner_rows[j]:
+                    acc[t] = c * v + acc.get(t, 0)
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _full_size_d_squared_is_zero(spec, kind, p_max):
+    """The reference: d o d = 0 on the full matrices of the default
+    schedule's first D, the inner maps at bounds (D, D + m) and the outer
+    ones at (D + m, D + 2m), on the integral normal form, for the maps out
+    of degrees 0..p_max+1."""
+    normal, _ = integral_normal_form(spec)
+    d, m = Schedule.default(spec.n).start, spec.n + 1
+    assemble = gwa.complexes.assemble_total_matrix  # as the oracle looks it up
+    for q in range(p_max + 1):
+        outer, inner = (q, q + 1) if kind.variant == "homology" else (q + 1, q)
+        if not _product_is_zero(assemble(normal, kind, outer, d + m, d + 2 * m),
+                                assemble(normal, kind, inner, d, d + m)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("w, n_max", [(None, 5), (Fraction(-1), 5), (zeta(3), 5), (zeta(5), 2)],
+                         ids=["Q", "w=-1", "zeta3", "zeta5"])
+def test_full_size_d_squared_is_zero_at_the_first_d(suite, w, n_max):
+    """The product that the certificate at degree bound 4 replaced, on the
+    full matrices of the first D, is still zero.  (The certificate itself
+    runs on these polynomials in every oracle test and criterion.)"""
+    for variant in ("homology", "cohomology"):
+        kind = ComplexKind(variant, None if w is None else Torus(w))
+        for spec in suite:
+            if spec.n <= n_max:
+                assert _full_size_d_squared_is_zero(spec, kind, 2), (spec.a, variant)
+
+
+class _Certified(Exception):
+    """Raised in place of the first `homology_dim_at`: the d o d check passed."""
+
+
+def _faulted_block_runs(monkeypatch, spec, kind, p_max):
+    """For each block of the maps out of degrees 0..p_max+1, in fill order:
+    whether the oracle's certificate and the full-size reference each pass
+    when that one block is filled with its shift c replaced by c + 1."""
+    real_assemble, real_fill = gwa.complexes.assemble_total_matrix, gwa.complexes._fill_block
+    state = {"target": None}
+
+    def assemble(spec, kind, p, b_dom, b_cod):
+        state["block"] = [p, 0]
+        return real_assemble(spec, kind, p, b_dom, b_cod)
+
+    def fill(rows, dom, cod, copy_dom, copy_cod, g_poly, c, scale=None):
+        if tuple(state["block"]) == state["target"]:
+            c += 1
+        state["block"][1] += 1
+        real_fill(rows, dom, cod, copy_dom, copy_cod, g_poly, c, scale)
+
+    def certified(dp, dnext):
+        raise _Certified
+
+    monkeypatch.setattr(gwa.complexes, "assemble_total_matrix", assemble)
+    monkeypatch.setattr(gwa.complexes, "_fill_block", fill)
+    monkeypatch.setattr(gwa.complexes, "homology_dim_at", certified)
+    targets = []
+    for p in range(p_max + 2):
+        assemble(spec, kind, p, 0, spec.n + 1)
+        targets += [(p, j) for j in range(state["block"][1])]
+    runs = {}
+    for state["target"] in targets:
+        try:
+            oracle_dims(spec, kind, p_max)
+        except _Certified:
+            passed = True
+        except InternalConsistencyError as exc:
+            assert "d o d" in str(exc)
+            passed = False
+        runs[state["target"]] = (passed, _full_size_d_squared_is_zero(spec, kind, p_max))
+    return runs
+
+
+@pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
+def test_certificate_misses_no_block_fault_the_full_size_check_catches(monkeypatch, kind):
+    """A wrong shift in one block of `_fill_block` bypasses the `_assemble`
+    guard and breaks the lemma's hypothesis.  On h^3 - h at p_max 2, over
+    every block of every degree, the certificate catches exactly the faults
+    that the full-size product at the first D catches."""
+    spec = GWASpec(Poly([0, -1, 0, 1]), ShiftSigma(1))
+    runs = _faulted_block_runs(monkeypatch, spec, kind, 2)
+    caught = [block for block, (passed, _) in runs.items() if not passed]
+    assert caught and len(caught) < len(runs)
+    assert [block for block, (passed, reference) in runs.items() if passed != reference] == []
+
+
+def _central_difference(bound: int) -> TruncatedMap:
+    """p |-> p(h + 1) - 2 p(h) + p(h - 1) on k[h] at degree bound `bound`:
+    three blocks with the shifts -1, 0 and 1."""
+    space = TruncatedSpace(None, 1, bound)
+    rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
+    for g, c in ((1, -1), (-2, 0), (1, 1)):
+        gwa.complexes._fill_block(rows, space, space, 0, 0, Poly.const(g), c)
+    return TruncatedMap(space, space, rows)
+
+
+def test_the_certificate_bound_is_tight():
+    """The square of the central difference, the fourth one, has shifts
+    -2..2 and kills 1, h, h^2 and h^3 but not h^4: a certificate below
+    degree bound 4 would pass a nonzero d o d of this form."""
+    below = _central_difference(D_SQUARED_BOUND - 1)
+    assert compose_is_zero(below, below)
+    at = _central_difference(D_SQUARED_BOUND)
+    assert not compose_is_zero(at, at)
+
+
+def _add_a_term_of_shift_two(monkeypatch):
+    """Add to the row differential out of e_x the terms y (x) x^2 and
+    x^2 (x) y: weight-balanced, with a factor of weight 2 on either side."""
+    real = gwa.complexes._dce_terms
+
+    def widened(spec):
+        table = dict(real(spec))
+        x, y = spec.x(), spec.y()
+        table[("x",)] = table[("x",)] + [(y, (), x * x), (x * x, (), y)]
+        return table
+
+    monkeypatch.setattr(gwa.complexes, "_dce_terms", widened)
+
+
+@pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
+def test_a_block_shift_beyond_the_certified_bound_raises(monkeypatch, kind):
+    # The map reading the row differential out of e_x: in homology the one
+    # out of degree 1, in cohomology (which reads routes from the codomain)
+    # the one out of degree 0.
+    p, m = (1 if kind is HOMOLOGY else 0), SQFREE.n + 1
+    assemble_total_matrix(SQFREE, kind, p, 4, 4 + m)
+    _add_a_term_of_shift_two(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match="shift 2 exceeds"):
+        assemble_total_matrix(SQFREE, kind, p, 4, 4 + m)
+    with pytest.raises(InternalConsistencyError, match="shift 2 exceeds"):
+        oracle_dims(SQFREE, kind, 2)
+
+
+@pytest.mark.parametrize("kind, schedule", [
+    (HOMOLOGY, None), (COHOMOLOGY, None),
+    (HOMOLOGY, Schedule(start=12, window=3)), (COHOMOLOGY, Schedule(start=12, window=3)),
+    (HOMOLOGY, Schedule(start=1, step=1, d_max=3)),
+    (COHOMOLOGY, Schedule(start=1, step=1, d_max=3)),
+], ids=["homology", "cohomology", "homology-3D", "cohomology-3D",
+        "homology-below-4", "cohomology-below-4"])
+def test_d_squared_runs_once_at_the_certificate_bounds(monkeypatch, kind, schedule):
+    """Every `compose_is_zero` of a run multiplies the outer map at domain
+    bound 4 + m by the inner one at 4, and all of them run before the
+    first `homology_dim_at`, so at no later D.  With a schedule whose D
+    stays below 4 the certificate's maps are assembled at its own bounds."""
+    events = []
+    real_check, real_dim = gwa.complexes.compose_is_zero, gwa.complexes.homology_dim_at
+
+    def check(outer, inner):
+        events.append((outer.domain.degree_bound, inner.domain.degree_bound))
+        return real_check(outer, inner)
+
+    def dim(dp, dnext):
+        events.append("dim")
+        return real_dim(dp, dnext)
+
+    monkeypatch.setattr(gwa.complexes, "compose_is_zero", check)
+    monkeypatch.setattr(gwa.complexes, "homology_dim_at", dim)
+    p_max, m = 2, CUBIC.n + 1
+    stabs = oracle_dims(CUBIC, kind, p_max, schedule)
+    table = hh_dims if kind is HOMOLOGY else coh_dims
+    assert dims(stabs) == table(CUBIC.a, CUBIC.sigma, p_max).dims
+    first = events.index("dim")
+    assert events[:first] == [(D_SQUARED_BOUND + m, D_SQUARED_BOUND)] * (p_max + 1)
+    assert "dim" not in events[:first] and set(events[first:]) == {"dim"}
 
 
 @pytest.mark.parametrize("w", [None, Fraction(-1), zeta(3), zeta(4), zeta(5)],
@@ -201,7 +392,12 @@ def test_oracle_assembles_each_degree_once(monkeypatch, kind):
     assert [d for d, _ in stabs[0].history] == [12, 16]
     assert sorted(p for p, _, _ in calls) == list(range(p_max + 2))
     m = CUBIC.n + 1
-    assert {(b_dom, b_cod) for _, b_dom, b_cod in calls} == {(16 + m, 16 + 2 * m)}
+    want = {p: (16 + m, 16 + 2 * m) for p in range(p_max + 2)}
+    if kind is COHOMOLOGY:
+        # No D reads the map out of p_max+1: only the d o d certificate
+        # does, at its own bounds.
+        want[p_max + 1] = (D_SQUARED_BOUND + m, D_SQUARED_BOUND + 2 * m)
+    assert {p: (b_dom, b_cod) for p, b_dom, b_cod in calls} == want
     assert len(checks) == p_max + 1  # d o d = 0, once per degree, at the first D only
 
 
@@ -305,18 +501,26 @@ def test_oracle_examples():
 
 
 def test_row_homology_assembles_each_wedge_degree_once(monkeypatch):
-    calls = []
-    real = gwa.complexes._assemble_single_row
+    """The rows take the same certificate: d o d = 0 on slices at domain
+    bounds 4 + m and 4 of the first D's assemblies."""
+    calls, checks = [], []
+    real, real_check = gwa.complexes._assemble_single_row, gwa.complexes.compose_is_zero
 
     def spy(spec, kind, k, b_dom, b_cod):
         calls.append((k, b_dom, b_cod))
         return real(spec, kind, k, b_dom, b_cod)
 
+    def check(outer, inner):
+        checks.append((outer.domain.degree_bound, inner.domain.degree_bound))
+        return real_check(outer, inner)
+
     monkeypatch.setattr(gwa.complexes, "_assemble_single_row", spy)
+    monkeypatch.setattr(gwa.complexes, "compose_is_zero", check)
     stabs = row_homology_dims(CUBIC, HOMOLOGY)
     assert [d for d, _ in stabs[0].history] == [12, 16]
     m = CUBIC.n + 1
     assert sorted(calls) == [(k, 16 + m, 16 + 2 * m) for k in range(4)]
+    assert checks == [(D_SQUARED_BOUND + m, D_SQUARED_BOUND)] * 3
 
 
 def test_oracle_rejects_a_broken_map(monkeypatch):
