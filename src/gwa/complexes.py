@@ -151,7 +151,10 @@ def _eh_expansion(p: Poly, spec: GWASpec, left_shift: int = 0, right_shift: int 
     return terms
 
 
-@lru_cache(maxsize=32)
+# The term tables are kept for one algebra: all the oracle calls of a job
+# read those of the job's own normal form, and a larger cache would only
+# keep the tables of finished jobs alive.
+@lru_cache(maxsize=1)
 def _dce_terms(spec: GWASpec):
     """Row differential at the bimodule level: slot -> [(u, target_slot, v)].
 
@@ -196,7 +199,7 @@ def _dce_terms(spec: GWASpec):
     return table
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _df_terms(spec: GWASpec):
     """Vertical differential at the bimodule level, raising the wedge degree.
 
@@ -268,6 +271,11 @@ def _poly_at(value: GWAElement, weight: int) -> Poly:
     return value.coefficient(weight)
 
 
+def _integral(v):
+    """`v` as an int if it is an integral `Fraction`; otherwise `v` itself."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
                 c, scale=None):
     """Add the block of p |-> scale * g_poly * p(h - c) between two k[h]
@@ -275,13 +283,17 @@ def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
 
     Column e is the image of h^e, g_poly * (h - c)^e, whose degree is
     deg(g_poly) + e; each column is built from the previous one on plain
-    coefficient lists.  On the integral normal form c is an integer and
-    g_poly has integer coefficients, so this recursion is `Fraction`
-    arithmetic on integers, whatever the field.  The twist enters only
-    through `scale`, a cyclotomic power w^k of the torus parameter (a
-    rational one is folded into g_poly by the caller): each value is
-    turned into a cell as it is written, built from the coefficient tuple
-    of w^k, with no field multiplication.
+    coefficient lists.  Each integral `Fraction` among c and the
+    coefficients of g_poly is taken as an int first, so on the integral
+    normal form, where c is an integer and g_poly has integer
+    coefficients, the recursion is int arithmetic, whatever the field, and
+    without `scale` the cells written are ints.  A coefficient that is not
+    integral (a folded rational twist such as w = 1/2, or a block off the
+    normal form) stays an exact `Fraction`.  The twist enters only through
+    `scale`, a cyclotomic power w^k of the torus parameter (a rational one
+    is folded into g_poly by the caller): each value is turned into a cell
+    as it is written, built from the coefficient tuple of w^k, with no
+    field multiplication.
     """
     if g_poly.is_zero():
         return
@@ -300,7 +312,8 @@ def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
             return [Cyclotomic._make(order, tuple(v * t for t in coeffs)) if v else v
                     for v in values]
     dom_copies, cod_copies = dom_space.copies, cod_space.copies
-    cur = list(g_poly.coeffs)
+    c = _integral(c)
+    cur = [_integral(v) for v in g_poly.coeffs]
     values = cells(cur)
     for e in range(dom_space.degree_bound + 1):
         if e and c:
@@ -360,6 +373,12 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     same twist weight, act through one polynomial: their sum, which is
     filled once.  A shift beyond `MAX_SHIFT` raises
     `InternalConsistencyError`: the d o d certificate assumes none.
+
+    Rows start as int zeros.  On the integral normal form every cell is an
+    int over Q and for w = -1; over a field of higher degree the cells the
+    twist scales are `Cyclotomic`s and the others ints.  A rational twist
+    whose powers w^k are not all integers (w = 1/2, or w = 2, whose weight
+    -1 blocks take 1/2) leaves `Fraction`s in the blocks it scales.
     """
     homology = kind.variant == "homology"
     dom_map, dom_copies = _copy_index(spots_of(p))
@@ -399,7 +418,7 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
                 weight = _element_weight(right) if kind.twist is not None else 0
                 key = (copy_dom, copy_cod, _element_weight(left), weight)
                 blocks[key] = blocks[key] + g_poly if key in blocks else g_poly
-    rows = [[Fraction(0)] * dom_space.dim for _ in range(cod_space.dim)]
+    rows = [[0] * dom_space.dim for _ in range(cod_space.dim)]
     h0 = spec.sigma.h0
     scales = {weight: kind.twist.w ** weight for *_, weight in blocks if weight}
     for (copy_dom, copy_cod, shift, weight), g_poly in blocks.items():

@@ -16,6 +16,8 @@ of multiplication by it, and each inner entry its two coordinates.  The
 scaling contract: each row, and the inner matrix as a whole, is multiplied
 by a positive integer, the lcm of its denominators, and no `Fraction` is
 built on the way; so ranks, and whether a product is zero, are unchanged.
+The oracle's matrices over Q have int cells (`gwa.complexes._assemble`),
+so over Q a row of plain ints is scaled by 1 and passed on as it is.
 Over fields of degree above two the d o d = 0 test multiplies in the field.
 The oracle runs that test once per call and on small matrices only: the
 inner map at domain degree bound 4 and the outer one at 4 plus the margin.
@@ -167,8 +169,12 @@ def _rational(v, order=None):
 def _int_row(row):
     """`row` times the lcm of its denominators: a list of ints.
 
-    Entries may be ints, `Fraction`s and rational `Cyclotomic`s.
+    Entries may be ints, `Fraction`s and rational `Cyclotomic`s.  A row of
+    plain ints, as the oracle assembles over Q, is scaled by 1: it is
+    returned itself, not copied, so callers must not mutate the result.
     """
+    if set(map(type, row)) <= {int}:
+        return row
     if any(isinstance(v, Cyclotomic) for v in row):
         row = [_rational(v) for v in row]
     den = 1

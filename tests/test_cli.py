@@ -139,6 +139,23 @@ def test_run_job_helper():
     assert payload["results"][0]["dims"] == [0, 0, 1, 0, 0, 0]
 
 
+def test_term_tables_keep_one_algebra():
+    """The GWA term tables are cached for the last algebra only, and a
+    verify job of both variants builds each table once."""
+    import gwa.complexes as cx
+
+    tables = (cx._dce_terms, cx._df_terms)
+    run_job(["verify", "--a=h^2-1", "--p-max", "1"])
+    run_job(["verify", "--a=h^3-h", "--p-max", "1"])
+    assert [table.cache_info().currsize for table in tables] == [1, 1]
+    for table in tables:
+        table.cache_clear()
+    run_job(["verify", "--a=h^3-h", "--kind", "both", "--p-max", "1"])
+    for table in tables:
+        info = table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+
+
 def test_dmax_env_override(capsys):
     # The cap is set by --d-max only; there is no environment override.
     code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "1", "--d-max", "13"])

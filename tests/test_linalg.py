@@ -350,6 +350,27 @@ def test_row_preparation_scales_rows_by_positive_integers(order):
         assert rank_rows(rows, nc, order) == len(field_echelon(rows, nc, order)[0])
 
 
+def test_int_rows_over_q_pass_through_unscaled():
+    """A row of plain ints, as the oracle assembles over Q, is scaled by 1
+    and handed on as it is; a row with an integral `Fraction` is still
+    made into a new row of ints.  Ranking and the d o d product leave the
+    int rows of an assembled map as they were."""
+    rng = random.Random(5)
+    for _ in range(20):
+        row = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
+        assert _int_row(row) is row
+    mixed = [Fraction(2), 3, 0]
+    out = _int_row(mixed)
+    assert out == [2, 3, 0] and out is not mixed and all(type(e) is int for e in out)
+    spec = GWASpec(Poly([0, -1, 0, 1]), S1)
+    outer = assemble_total_matrix(spec, ComplexKind("homology"), 1, 8, 12)
+    inner = assemble_total_matrix(spec, ComplexKind("homology"), 2, 4, 8)
+    before = [list(row) for row in outer.rows], [list(row) for row in inner.rows]
+    assert outer.rank() == len(field_echelon(outer.rows, outer.domain.dim)[0])
+    assert compose_is_zero(outer, inner)
+    assert (outer.rows, inner.rows) == before
+
+
 def _zero_product_pair(rng, order, nr, nc):
     """outer (nr x nc) and inner with outer o inner = 0: inner's columns
     are kernel vectors of outer, rescaled and re-represented at random."""

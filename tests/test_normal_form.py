@@ -110,10 +110,20 @@ def test_oracle_is_invariant_under_rescaling(monkeypatch, suite, w):
                 assert _table(oracle_dims(_rescaled(spec, c, mu), kind, 1, schedule)) == want
 
 
+def _fill_term(rows, dom, cod, copy_dom, copy_cod, g_poly, c):
+    """Add p |-> g_poly * p(h - c) between two copies, column e the
+    product g_poly * (h - c)^e in exact `Poly` arithmetic."""
+    for e in range(dom.degree_bound + 1):
+        image = g_poly * Poly([-c, 1]) ** e
+        for deg, v in enumerate(image.coeffs):
+            if v:
+                rows[cod.index(deg, copy_cod)][dom.index(e, copy_dom)] += v
+
+
 def _reference_total_matrix(spec, kind, p, b_dom, b_cod):
     """The total differential out of degree p as assembled term by term,
     each term's right factor twisted with `apply_automorphism` and filled
-    on its own."""
+    on its own with `Poly` arithmetic, not with `_fill_block`."""
     homology = kind.variant == "homology"
     dom_map, dom_copies = cx._copy_index(cx.spots(p))
     cod_map, cod_copies = cx._copy_index(cx.spots(p - 1 if homology else p + 1))
@@ -140,10 +150,12 @@ def _reference_total_matrix(spec, kind, p, b_dom, b_cod):
                     left, right, dom_slot, cod_slot, copy_dom, copy_cod = (
                         u, v, route_slot, slot, other, copy)
                 pref = cx._prefactor(spec, sign * cx.slot_weight(dom_slot))
-                value = left * pref * apply_automorphism(kind.twist, right)
+                if kind.twist is not None:
+                    right = apply_automorphism(kind.twist, right)
+                value = left * pref * right
                 g_poly = cx._poly_at(value, sign * cx.slot_weight(cod_slot))
-                cx._fill_block(rows, dom, cod, copy_dom, copy_cod, g_poly,
-                               cx._element_weight(left) * spec.sigma.h0)
+                _fill_term(rows, dom, cod, copy_dom, copy_cod, g_poly,
+                           cx._element_weight(left) * spec.sigma.h0)
     return rows
 
 
@@ -164,3 +176,77 @@ def test_block_scalar_equals_twisting_each_term(w):
                 got = assemble_total_matrix(spec, kind, p, b_dom, b_cod)
                 assert got.rows == _reference_total_matrix(spec, kind, p, b_dom, b_cod), \
                     (spec, variant, p)
+
+
+def _fraction_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination on `Fraction`s: the reference the
+    oracle's fraction-free ranks are checked against."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        top = work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / top[col]
+                work[i] = [a - f * b for a, b in zip(work[i], top)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("w", [None, Fraction(-1)], ids=["Q", "-1"])
+def test_normal_form_cells_are_ints(suite, w):
+    """Over Q and for w = -1 every cell the oracle assembles on the
+    integral normal form is a plain int, in degrees 0..3 and both variants."""
+    for spec in suite:
+        normal = cx._normalized(spec)
+        for variant in ("homology", "cohomology"):
+            kind = ComplexKind(variant, None if w is None else Torus(w))
+            for p in range(4):
+                tm = assemble_total_matrix(normal, kind, p, 3, 3 + normal.n + 1)
+                assert all(type(v) is int for row in tm.rows for v in row), \
+                    (spec.a, variant, p)
+
+
+def _assert_exact_fraction_cells(spec, kind, degrees):
+    """The maps out of `degrees` have int and `Fraction` cells, some of them
+    not integers, equal to the term-by-term `Poly` reference, and each rank
+    equals the `Fraction` reference rank."""
+    fractional = False
+    for p in degrees:
+        b_dom, b_cod = 3, 3 + spec.n + 1
+        tm = assemble_total_matrix(spec, kind, p, b_dom, b_cod)
+        cells = [v for row in tm.rows for v in row]
+        assert all(type(v) in (int, Fraction) for v in cells)
+        fractional |= any(type(v) is Fraction and v.denominator != 1 for v in cells)
+        assert tm.rows == _reference_total_matrix(spec, kind, p, b_dom, b_cod), (spec, p)
+        assert tm.rank() == _fraction_rank(tm.rows), (spec, p)
+    assert fractional
+
+
+@pytest.mark.parametrize("w", [Fraction(1, 2), Fraction(2)], ids=["1/2", "2"])
+@pytest.mark.parametrize("variant", ["homology", "cohomology"])
+def test_rational_twist_with_fractional_powers_keeps_exact_cells(w, variant):
+    """w^k folded into a block is not an integer for w = 1/2, nor for w = 2
+    on the blocks of weight -1: those cells stay exact `Fraction`s, and the
+    ranks are those of plain `Fraction` elimination."""
+    kind = ComplexKind(variant, Torus(w))
+    for a in ([0, -1, 0, 1], [-6, 1, 1], [0, 0, 2, 1]):
+        _assert_exact_fraction_cells(cx._normalized(GWASpec(Poly(a), ShiftSigma(1))),
+                                     kind, range(4))
+
+
+@pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
+def test_assembly_off_the_normal_form_keeps_a_fractional_shift(kind):
+    """Assembled directly on (a, h0) with h0 = 1/2, the shifts c = +-1/2
+    stay `Fraction`s, and every rank is that of the normal form."""
+    spec = GWASpec(Poly([Fraction(-1, 4), 0, 1]), ShiftSigma(Fraction(1, 2)))
+    normal = cx._normalized(spec)
+    _assert_exact_fraction_cells(spec, kind, range(1, 4))
+    for p in range(4):
+        b_dom, b_cod = 3, 3 + spec.n + 1
+        assert (assemble_total_matrix(spec, kind, p, b_dom, b_cod).rank()
+                == assemble_total_matrix(normal, kind, p, b_dom, b_cod).rank())
