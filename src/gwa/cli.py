@@ -474,7 +474,7 @@ def _run_sweep(path: str) -> int:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+            lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -4,21 +4,20 @@ A truncated space is a finite sum of copies of k[h] cut off at a degree
 bound; every dimension count in the package reduces to ranks of exact
 matrices between such spaces.  How to compute over a field is decided once
 per field order (`_backend`).  Every rank is computed fraction-free: rows
-are scaled to integers (over Q), to integer pairs (over a quadratic
-cyclotomic field) or to integer coefficient tuples (over Q(zeta_m) of
-degree above two), and eliminated with the Bareiss kernels of
-`gwa._rankcore_py` (`echelon_int`, `echelon_quad`, `echelon_cyclo`), which
-scale the rows a stage leaves idle lazily.  The exact d o d = 0 test
-(`compose_is_zero`) scales the outer map's rows the same way, each by its
-own integer, and the whole inner matrix by one.  Over a quadratic field it
-then runs on integers too: each outer entry becomes the 2 x 2 integer block
-of multiplication by it, and each inner entry its two coordinates.  The
-scaling contract: each row, and the inner matrix as a whole, is multiplied
-by a positive integer, the lcm of its denominators, and no `Fraction` is
-built on the way; so ranks, and whether a product is zero, are unchanged.
-The oracle's matrices over Q have int cells (`gwa.complexes._assemble`),
-so over Q a row of plain ints is scaled by 1 and passed on as it is.
-Over fields of degree above two the d o d = 0 test multiplies in the field.
+are scaled to integers (over Q) or to integer coefficient tuples (over
+every cyclotomic field Q(zeta_m) of degree >= 2), and eliminated with the
+Bareiss kernels of `gwa._rankcore_py` (`echelon_int`; `echelon_quad` for
+degree two, `echelon_cyclo` above), which scale the rows a stage leaves
+idle lazily.  The exact d o d = 0 test (`compose_is_zero`) scales the
+outer map's rows the same way, each by its own integer, and the whole inner
+matrix by one, and it runs on integers over every field: over Q(zeta_m) of
+degree d each outer entry becomes the d x d integer block of
+multiplication by it, and each inner entry its d coordinates.  The scaling
+contract: each row, and the inner matrix as a whole, is multiplied by a
+positive integer, the lcm of its denominators, and no `Fraction` is built
+on the way; so ranks, and whether a product is zero, are unchanged.  The
+oracle's matrices over Q have int cells (`gwa.complexes._assemble`), so
+over Q a row of plain ints is scaled by 1 and passed on as it is.
 The oracle runs that test once per call and on small matrices only: the
 inner map at domain degree bound 4 and the outer one at 4 plus the margin.
 Each block of an assembled map shifts by at most one step, so a product
@@ -187,30 +186,8 @@ def _int_row(row):
     return [v.numerator * (den // v.denominator) if v else 0 for v in row]
 
 
-def _pair_row(row, order):
-    """`row` over Q(zeta_order), a quadratic field, as integer pairs (a0, a1)
-    for a0 + a1 zeta, scaled by the lcm of all coefficient denominators.
-
-    Entries may be ints, `Fraction`s and `Cyclotomic`s of that order or
-    rational ones of any order.
-    """
-    pairs = [(v, 0) if not isinstance(v, Cyclotomic)
-             else v.coeffs if v.order == order else (_rational(v, order), 0)
-             for v in row]
-    den = 1
-    for pair in pairs:
-        for v in pair:
-            d = v.denominator
-            if d != 1 and den % d:
-                den = lcm(den, d)
-    if den == 1:
-        return [(a.numerator, b.numerator) for a, b in pairs]
-    return [(a.numerator * (den // a.denominator) if a else 0,
-             b.numerator * (den // b.denominator) if b else 0) for a, b in pairs]
-
-
 def _coeff_row(row, order):
-    """`row` over Q(zeta_order), a field of degree phi > 2, as integer
+    """`row` over Q(zeta_order), a field of degree phi >= 2, as integer
     coefficient phi-tuples, scaled by the lcm of all coefficient denominators.
 
     Entries may be ints, `Fraction`s and `Cyclotomic`s of that order or
@@ -231,14 +208,6 @@ def _coeff_row(row, order):
     return [t if t is zero
             else tuple(v.numerator * (den // v.denominator) if v else 0 for v in t)
             for t in tuples]
-
-
-def _quad_params(order: int) -> tuple[int, int]:
-    phi = cyclotomic_coeffs(order)
-    if len(phi) != 3:
-        raise InputError(f"order {order} is not a quadratic field")
-    # Phi = c + b t + t^2 ascending.
-    return int(phi[1]), int(phi[0])
 
 
 def _field(order: int | None) -> int | None:
@@ -267,15 +236,41 @@ def _scaled_as_one(rows, scale_row):
     return [flat[i * width:(i + 1) * width] for i in range(len(rows))]
 
 
+def _block_rows(row, phi):
+    """The d integer rows of multiplication by the entries of `row`, a row
+    of d-tuples in Z[z]/Phi with Phi = phi ascending and monic of degree d.
+
+    Entry j becomes the d x d block whose column k holds the coordinates
+    of a_j z^k, in column k * len(row) + j.  Each a_j z^k is a_j z^(k-1)
+    times z, reduced by one step of z^d = -(phi_0 + ... + phi_{d-1}
+    z^(d-1)), for the whole row at once.  For d = 2, Phi = t^2 + b t + c,
+    the block of a0 + a1 z is [[a0, -c a1], [a1, a0 - b a1]].
+    """
+    d = len(phi) - 1
+    # x[t][j]: coordinate t of a_j z^k, for k = 0, 1, ... in turn.
+    x = [[a[t] for a in row] for t in range(d)]
+    out = [list(xt) for xt in x]
+    for _ in range(d - 1):
+        top = x[-1]
+        x = [[-phi[0] * v for v in top]] + [
+            [u - p * v for u, v in zip(xt, top)] for xt, p in zip(x, phi[1:d])]
+        for o, xt in zip(out, x):
+            o += xt
+    return out
+
+
 @lru_cache(maxsize=32)
 def _backend(field_order):
     """How to compute over the field of `field_order`, decided once per order.
 
     Returns (eliminate, factors).  `eliminate(rows, ncols)` prepares the
     rows and returns (rank, pivot_columns, echelon_rows).  `factors(outer,
-    inner)` turns the rows of two matrices into rows A and B over the
-    integers (over the field itself for degree > 2) with A B = 0 exactly when
-    outer o inner = 0.  The Bareiss kernels are looked up on `_kernels` at
+    inner)` turns the rows of two matrices into integer rows A and B with
+    A B = 0 exactly when outer o inner = 0.  Over Q(zeta_m) of degree d
+    both take the integer coefficient d-tuples of `_coeff_row`: the ranks
+    go to `echelon_quad` (d = 2) or `echelon_cyclo`, and in A each outer
+    entry becomes its d x d block (`_block_rows`), in B each inner entry
+    its d coordinates.  The Bareiss kernels are looked up on `_kernels` at
     each call, so a wrapper installed there later still sees every call.
     Over a field of degree > 2 the ring arithmetic of `echelon_cyclo` is
     imported and compiled here, on the first use of the order, not with the
@@ -289,36 +284,29 @@ def _backend(field_order):
         def factors(outer, inner):
             return [_int_row(row) for row in outer], _scaled_as_one(inner, _int_row)
 
-    elif euler_phi(order) == 2:
-        b, c = _quad_params(order)
-
-        def eliminate(rows, ncols):
-            return _kernels.echelon_quad([_pair_row(row, order) for row in rows], ncols, b, c)
-
-        def factors(outer, inner):
-            # a0 + a1 z acts on the coordinates (x0, x1) of x0 + x1 z as the
-            # block [[a0, -c a1], [a1, a0 - b a1]], since z^2 = -b z - c.
-            blocks = []
-            for row in outer:
-                pairs = _pair_row(row, order)
-                blocks.append([v for a0, a1 in pairs for v in (a0, -c * a1)])
-                blocks.append([v for a0, a1 in pairs for v in (a1, a0 - b * a1)])
-            scaled = _scaled_as_one(inner, lambda row: _pair_row(row, order))
-            return blocks, [[e[k] for e in row] for row in scaled for k in (0, 1)]
-
     else:
-        from ._cyclotomic_ring import CyclotomicIntegers
+        phi = cyclotomic_coeffs(order)
+        d = len(phi) - 1
+        if d == 2:
+            c, b, _ = phi
 
-        ring = CyclotomicIntegers(order, cyclotomic_coeffs(order))
+            def echelon(rows, ncols):
+                return _kernels.echelon_quad(rows, ncols, b, c)
+        else:
+            from ._cyclotomic_ring import CyclotomicIntegers
+
+            ring = CyclotomicIntegers(order, phi)
+
+            def echelon(rows, ncols):
+                return _kernels.echelon_cyclo(rows, ncols, ring)
 
         def eliminate(rows, ncols):
-            return _kernels.echelon_cyclo([_coeff_row(row, order) for row in rows], ncols, ring)
-
-        def in_field(rows):
-            return [[_to_field(v, order) if v else 0 for v in row] for row in rows]
+            return echelon([_coeff_row(row, order) for row in rows], ncols)
 
         def factors(outer, inner):
-            return in_field(outer), in_field(inner)
+            blocks = [r for row in outer for r in _block_rows(_coeff_row(row, order), phi)]
+            scaled = _scaled_as_one(inner, lambda row: _coeff_row(row, order))
+            return blocks, [[e[k] for e in row] for k in range(d) for row in scaled]
 
     return eliminate, factors
 
@@ -506,10 +494,10 @@ def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
     """Exact check that outer o inner = 0.
 
     The field's backend turns outer's rows and inner's matrix into integer
-    rows A and B (field rows for degree > 2) with A B = 0 exactly when the
-    product is zero; see the scaling contract in the module docstring.  Each
-    row of A B is accumulated from the rows of B at the nonzeros of a row of
-    A, so only structural nonzeros are multiplied.
+    rows A and B with A B = 0 exactly when the product is zero; see the
+    scaling contract in the module docstring.  Each row of A B is
+    accumulated from the rows of B at the nonzeros of a row of A, so only
+    structural nonzeros are multiplied.
     """
     if inner.codomain.dim != outer.domain.dim:
         raise InputError("composition shape mismatch")

@@ -176,6 +176,20 @@ def test_sweep(tmp_path, capsys):
     assert all("report" in entry for entry in lines)
 
 
+def test_sweep_skips_indented_comment_lines(tmp_path, capsys):
+    sweep = tmp_path / "jobs.txt"
+    sweep.write_text(
+        '# a comment\n'
+        '  # an indented comment\n'
+        'hh --a h --h0 1 --formula-only\n'
+        '\t# a tab-indented comment\n'
+    )
+    code, out, _ = run_main(capsys, ["--sweep", str(sweep)])
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["job"] for r in records] == [["hh", "--a", "h", "--h0", "1", "--formula-only"]]
+    assert code == EXIT_OK
+
+
 def test_sweep_keeps_every_job_and_exits_with_the_worst_class(tmp_path, capsys):
     sweep = tmp_path / "jobs.txt"
     sweep.write_text(

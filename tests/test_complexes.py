@@ -20,7 +20,7 @@ from gwa.complexes import (
     row_homology_dims,
 )
 from gwa.errors import HypothesisError, InputError, InternalConsistencyError
-from gwa.formulas import coh_dims, hh_dims
+from gwa.formulas import coh_dims, hh_dims, twisted_dims
 from gwa.linalg import (
     Schedule,
     TruncatedMap,
@@ -491,6 +491,18 @@ def test_oracle_slice_ranks_are_pivot_counts(monkeypatch, suite, w, n_max):
             if spec.n <= n_max:
                 oracle_dims(spec, kind, 3, Schedule(start=4))
     assert slices and all(slices)
+
+
+@pytest.mark.parametrize("order", [5, 8], ids=["zeta5", "zeta8"])
+def test_oracle_matches_twisted_formulas_beyond_degree_two(suite, order):
+    """Over Q(zeta5) and Q(zeta8), fields of degree four, the oracle's
+    twisted dimensions equal the formulas' for the suite's n <= 3."""
+    for variant in ("homology", "cohomology"):
+        kind = ComplexKind(variant, Torus(zeta(order)))
+        for spec in suite:
+            if spec.n <= 3:
+                want = twisted_dims(spec.a, spec.sigma, variant, 2).dims
+                assert dims(oracle_dims(spec, kind, 2)) == want, (str(spec), variant)
 
 
 def test_oracle_examples():

@@ -14,11 +14,10 @@ from gwa.linalg import (
     Schedule,
     TruncatedMap,
     TruncatedSpace,
+    _block_rows,
     _coeff_row,
     _int_row,
     _kernels,
-    _pair_row,
-    _quad_params,
     compose_is_zero,
     field_echelon,
     homology_dim_at,
@@ -344,7 +343,7 @@ def test_row_preparation_scales_rows_by_positive_integers(order):
                 _assert_positive_multiple(out, row, order, Fraction)
             else:
                 d = euler_phi(order)
-                out = _pair_row(row, order) if d == 2 else _coeff_row(row, order)
+                out = _coeff_row(row, order)
                 assert all(len(e) == d and all(type(a) is int for a in e) for e in out)
                 _assert_positive_multiple(out, row, order, lambda e: Cyclotomic(order, e))
         assert rank_rows(rows, nc, order) == len(field_echelon(rows, nc, order)[0])
@@ -420,8 +419,8 @@ def _denominator(v):
                  for c in (v.coeffs if isinstance(v, Cyclotomic) else (v,))))
 
 
-@pytest.mark.parametrize("order", [None, 3, 4, 5, 6],
-                         ids=["Q", "zeta3", "zeta4", "zeta5", "zeta6"])
+@pytest.mark.parametrize("order", [None, 3, 4, 5, 6, 7, 8, 12],
+                         ids=["Q", "zeta3", "zeta4", "zeta5", "zeta6", "zeta7", "zeta8", "zeta12"])
 def test_compose_is_zero_matches_the_field_product(order):
     rng = random.Random(43 if order is None else 43 + order)
     outcomes = set()
@@ -450,6 +449,30 @@ def test_compose_is_zero_matches_the_field_product(order):
         # A product whose only nonzero coefficient is that of zeta.
         one = _as_map([[1]], 1, order)
         assert not compose_is_zero(one, _as_map([[zeta(order)]], 1, order))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12, 105])
+def test_block_times_coordinates_is_the_field_product(order):
+    """The d x d block of a (`_block_rows` of the row [a]) times the
+    coordinates of x gives the coordinates of the field product a x, and a
+    longer row puts entry j's column k at k * len(row) + j.  Phi_105 has a
+    coefficient -2, so a reduction step that takes Phi's coefficients for
+    signs alone shows here."""
+    phi = cyclotomic_coeffs(order)
+    d = len(phi) - 1
+    rng = random.Random(order)
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    entries = units + [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(20)]
+    blocks = [_block_rows([a], phi) for a in entries]
+    for a, block in zip(entries, blocks):
+        assert len(block) == d and all(len(r) == d for r in block)
+        for x in units + [[rng.randint(-9, 9) for _ in range(d)] for _ in range(3)]:
+            got = [sum(b * xk for b, xk in zip(r, x)) for r in block]
+            assert got == list((Cyclotomic(order, a) * Cyclotomic(order, x)).coeffs)
+    n = len(entries)
+    side_by_side = _block_rows(entries, phi)
+    assert all(side_by_side[t][k * n + j] == blocks[j][t][k]
+               for t in range(d) for k in range(d) for j in range(n))
 
 
 def echelon_int_reference(rows, ncols):
@@ -644,7 +667,7 @@ def echelon_quad_reference(rows, ncols, b, c):
 
 @pytest.mark.parametrize("order", [3, 4, 6], ids=["zeta3", "zeta4", "zeta6"])
 def test_echelon_quad_matches_reference(suite, order):
-    b, c = _quad_params(order)
+    c, b, _ = cyclotomic_coeffs(order)
     rng = random.Random(order)
     inputs = []
     for _ in range(80):
@@ -663,7 +686,7 @@ def test_echelon_quad_matches_reference(suite, order):
                 row[zero] = (0, 0)
         inputs.append((rows, nc))
     kinds = [ComplexKind(variant, Torus(zeta(order))) for variant in ("homology", "cohomology")]
-    inputs += [([_pair_row(row, order) for row in tm.rows], tm.domain.dim)
+    inputs += [([_coeff_row(row, order) for row in tm.rows], tm.domain.dim)
                for tm in assembled_maps(suite, kinds)]
 
     def update(p, x, f, y, q):
