@@ -1,12 +1,13 @@
-"""Peak memory of one pass over the rational workload, in a fresh process.
+"""Peak memory of one pass over a benchmark workload, in a fresh process.
 
     python3 benchmarks/bench_pass_rss.py --src src
     python3 benchmarks/bench_pass_rss.py --src src --seed 2
+    python3 benchmarks/bench_pass_rss.py --src src --workload quadratic
     python3 benchmarks/bench_pass_rss.py --src src --label change --out BENCH_pass_rss.json
 
 Starts a child Python process that imports `gwa` from `--src` once,
-generates the `rational` job list for `--seed` with `oraclebench/jobs.py`
-(imported from there, unchanged), runs every job once through
+generates the job list of `--workload` (default `rational`) for `--seed`
+with `oraclebench/jobs.py` (imported from there, unchanged), runs every job once through
 `gwa.cli.run_job` and checks that each report agrees with its formulas.
 The child's `ru_maxrss` at the end is the peak resident memory of that one
 pass.  Unlike the benchmark's `peak_rss_mib`, which is the peak of a whole
@@ -30,7 +31,7 @@ from pathlib import Path
 from bench_assembly import machine
 
 ORACLEBENCH = Path(__file__).resolve().parent.parent / "oraclebench"
-WORKLOAD = "rational"
+WORKLOADS = ("rational", "quadratic", "quartic")
 RUNS = 5
 
 CHILD = """
@@ -47,10 +48,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def child_rss_mib(src: Path, seed: int) -> float:
+def child_rss_mib(src: Path, workload: str, seed: int) -> float:
     """ru_maxrss of one fresh child running one pass, in MiB (Linux reports KiB)."""
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), str(ORACLEBENCH), WORKLOAD, str(seed)],
+        [sys.executable, "-c", CHILD, str(src), str(ORACLEBENCH), workload, str(seed)],
         check=True, capture_output=True, text=True).stdout
     return int(out.split()[-1]) / 1024
 
@@ -58,6 +59,7 @@ def child_rss_mib(src: Path, seed: int) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the gwa package")
+    parser.add_argument("--workload", choices=WORKLOADS, default="rational")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", type=Path)
@@ -66,11 +68,11 @@ def main() -> int:
     if not (src / "gwa" / "__init__.py").is_file():
         print(f"error: no gwa package under {src}", file=sys.stderr)
         return 2
-    samples = [child_rss_mib(src, args.seed) for _ in range(RUNS)]
-    result = {"workload": WORKLOAD, "seed": args.seed,
+    samples = [child_rss_mib(src, args.workload, args.seed) for _ in range(RUNS)]
+    result = {"workload": args.workload, "seed": args.seed,
               "pass_rss_mib": round(statistics.median(samples), 2),
               "samples_mib": [round(v, 2) for v in samples]}
-    print(f"{WORKLOAD} seed {args.seed}: one pass peaks at "
+    print(f"{args.workload} seed {args.seed}: one pass peaks at "
           f"{result['pass_rss_mib']:.2f} MiB (median of {len(samples)} fresh processes)",
           file=sys.stderr)
     print(json.dumps(result))

@@ -1,7 +1,7 @@
-"""Arithmetic in Z[zeta_m] for the cyclotomic fields of degree above two.
+"""Arithmetic in Z[zeta_m] for the cyclotomic fields of degree two or more.
 
 `gwa.linalg` imports this module on the first rank over such a field, not
-with the package: only `_kernels.echelon_cyclo` needs it.
+with the package: only the Bareiss kernel `_kernels.echelon_cyclo` uses it.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from math import gcd
 
 
 class CyclotomicIntegers:
-    """Arithmetic in Z[z]/Phi_m for a cyclotomic polynomial of degree d > 2.
+    """Arithmetic in Z[z]/Phi_m for a cyclotomic polynomial of degree d >= 2.
 
     Elements are d-tuples of ints, the coefficients of 1, z, ..., z^(d-1).
     `mul(a, b)` and `combine` are straight-line code, compiled once per ring

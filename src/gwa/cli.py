@@ -199,6 +199,17 @@ def cmd_table(args) -> RunReport:
     return report
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 file at `path`; a file that cannot be opened or
+    decoded is an input error naming it as `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read the {what} {path!r}: {reason}") from None
+
+
 def cmd_invariants(args) -> RunReport:
     # `gwa.invariants` is imported by the commands that use it only, so the
     # oracle's commands do not compile it.
@@ -228,12 +239,7 @@ def cmd_group(args) -> RunReport:
     from .invariants import GroupClassData, group_report
 
     if args.classes_file:
-        try:
-            with open(args.classes_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise InputError(f"cannot read the classes file {args.classes_file!r}: {reason}") from None
+        text = _read_text(args.classes_file, "classes file")
     else:
         text = (args.classes or "").replace(";", "\n")
     report, spec = _start_report(args, classes=text.strip())
@@ -404,13 +410,16 @@ def _exit_class(exc: GWAError) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sweep:
-        return _run_sweep(args.sweep)
-    if not args.command:
+    if not (args.sweep or args.command):
         parser.print_help()
         return EXIT_INVALID_INPUT
     started = time.perf_counter()
     try:
+        if args.sweep:
+            if args.command:
+                raise InputError(f"--sweep takes its jobs from the file only, "
+                                 f"not the subcommand {args.command!r}")
+            return _run_sweep(args.sweep)
         report = COMMANDS[args.command](args)
     except GWAError as exc:
         code, label = _exit_class(exc)
@@ -472,12 +481,8 @@ def _run_sweep(path: str) -> int:
     # process about 0.8 MiB of resident memory.
     import concurrent.futures
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    lines = [line for line in map(str.strip, _read_text(path, "sweep file").split("\n"))
+             if line and not line.startswith("#")]
     status = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor() as pool:
         for record in pool.map(sweep_job, lines):

@@ -6,9 +6,9 @@ matrices between such spaces.  How to compute over a field is decided once
 per field order (`_backend`).  Every rank is computed fraction-free: rows
 are scaled to integers (over Q) or to integer coefficient tuples (over
 every cyclotomic field Q(zeta_m) of degree >= 2), and eliminated with the
-Bareiss kernels of `gwa._rankcore_py` (`echelon_int`; `echelon_quad` for
-degree two, `echelon_cyclo` above), which scale the rows a stage leaves
-idle lazily.  The exact d o d = 0 test (`compose_is_zero`) scales the
+Bareiss kernels of `gwa._rankcore_py` (`echelon_int` over Q,
+`echelon_cyclo` over Z[zeta_m] for every other field), which scale the rows
+a stage leaves idle lazily.  The exact d o d = 0 test (`compose_is_zero`) scales the
 outer map's rows the same way, each by its own integer, and the whole inner
 matrix by one, and it runs on integers over every field: over Q(zeta_m) of
 degree d each outer entry becomes the d x d integer block of
@@ -268,13 +268,13 @@ def _backend(field_order):
     inner)` turns the rows of two matrices into integer rows A and B with
     A B = 0 exactly when outer o inner = 0.  Over Q(zeta_m) of degree d
     both take the integer coefficient d-tuples of `_coeff_row`: the ranks
-    go to `echelon_quad` (d = 2) or `echelon_cyclo`, and in A each outer
-    entry becomes its d x d block (`_block_rows`), in B each inner entry
-    its d coordinates.  The Bareiss kernels are looked up on `_kernels` at
-    each call, so a wrapper installed there later still sees every call.
-    Over a field of degree > 2 the ring arithmetic of `echelon_cyclo` is
-    imported and compiled here, on the first use of the order, not with the
-    package.
+    go to `echelon_cyclo` over Z[zeta_m], and in A each outer entry
+    becomes its d x d block (`_block_rows`), in B each inner entry its d
+    coordinates.  The ring arithmetic is imported and compiled here, on
+    the first use of the order, not with the package.  The Bareiss kernels
+    are looked up on `_kernels` at each call, so a wrapper installed there
+    later still sees every call; for d = 2 the call goes through the name
+    `echelon_quad`, which is `echelon_cyclo` again.
     """
     order = _field(field_order)
     if order is None:
@@ -285,23 +285,15 @@ def _backend(field_order):
             return [_int_row(row) for row in outer], _scaled_as_one(inner, _int_row)
 
     else:
+        from ._cyclotomic_ring import CyclotomicIntegers
+
         phi = cyclotomic_coeffs(order)
         d = len(phi) - 1
-        if d == 2:
-            c, b, _ = phi
-
-            def echelon(rows, ncols):
-                return _kernels.echelon_quad(rows, ncols, b, c)
-        else:
-            from ._cyclotomic_ring import CyclotomicIntegers
-
-            ring = CyclotomicIntegers(order, phi)
-
-            def echelon(rows, ncols):
-                return _kernels.echelon_cyclo(rows, ncols, ring)
+        ring = CyclotomicIntegers(order, phi)
 
         def eliminate(rows, ncols):
-            return echelon([_coeff_row(row, order) for row in rows], ncols)
+            echelon = _kernels.echelon_quad if d == 2 else _kernels.echelon_cyclo
+            return echelon([_coeff_row(row, order) for row in rows], ncols, ring)
 
         def factors(outer, inner):
             blocks = [r for row in outer for r in _block_rows(_coeff_row(row, order), phi)]

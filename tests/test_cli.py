@@ -403,6 +403,30 @@ def test_unreadable_classes_file_is_an_input_error(capsys, tmp_path, make):
     assert record["exit_code"] == EXIT_INVALID_INPUT and str(path) in record["error"]
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"hh --a h --formula-only # \xff\n"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_sweep_file_is_an_input_error(capsys, tmp_path, make):
+    path = tmp_path / "jobs.txt"
+    make(path)
+    code, out, err = run_main(capsys, ["--sweep", str(path)])
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err.startswith(f"error: cannot read the sweep file {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_with_a_subcommand_is_an_input_error(capsys, tmp_path):
+    """The jobs of a sweep come from its file; a subcommand beside --sweep
+    would be dropped, so it is refused before any job runs."""
+    path = tmp_path / "jobs.txt"
+    path.write_text("hh --a h --formula-only\n")
+    code, out, err = run_main(capsys, ["--sweep", str(path), "verify", "--a", "h^2"])
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err == "error: --sweep takes its jobs from the file only, not the subcommand 'verify'\n"
+
+
 def test_group_honours_p_max():
     argv = ["group", "--a", "h^2-3", "--classes", "order=2 omega=no;order=3 omega=yes"]
     assert run_job(argv)["results"][0]["dims"] == [1, 0, 4, 0, 0, 0]
