@@ -407,6 +407,14 @@ def _exit_class(exc: GWAError) -> tuple[int, str]:
                 (EXIT_DISAGREEMENT, "error"))
 
 
+def _refuse_sweep_with_command(args) -> None:
+    """`--sweep` runs the jobs of its file, so a subcommand beside it is an
+    input error, on the command line and on a sweep line alike."""
+    if args.sweep and args.command:
+        raise InputError(f"--sweep takes its jobs from the file only, "
+                         f"not the subcommand {args.command!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -416,9 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         if args.sweep:
-            if args.command:
-                raise InputError(f"--sweep takes its jobs from the file only, "
-                                 f"not the subcommand {args.command!r}")
+            _refuse_sweep_with_command(args)
             return _run_sweep(args.sweep)
         report = COMMANDS[args.command](args)
     except GWAError as exc:
@@ -456,6 +462,7 @@ def sweep_job(line: str) -> dict:
                 lines = captured.getvalue().strip().splitlines()
                 raise InputError(lines[-1] if exc.code and lines
                                  else "the line runs no job") from None
+        _refuse_sweep_with_command(args)
         if not args.command:
             raise InputError("the line names no command")
         report = COMMANDS[args.command](args)

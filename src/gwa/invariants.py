@@ -31,7 +31,6 @@ from .formulas import DimReport, group_coh_dims, hh_dims
 from .linalg import (
     Schedule,
     StabilizedDim,
-    field_echelon,
     rank_rows,
     stabilize,
 )
@@ -210,11 +209,18 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
     """Dimension of the +1 eigenspace of the reflection on twisted
     degree-zero homology; expected floor((n+1)/2).
 
-    The quotient is represented on 1, h, ..., h^{n-1} modulo
-    (sigma - w.Id)(a k[h]); the reflection acts by h -> h0 + rho - h.  The
-    substitution must map the boundary space into itself and square to the
-    identity on the quotient -- a failure signals that the reflection does
-    not commute with the twist (w must be a square root of unity).
+    The quotient is k[h] modulo the boundaries (sigma - w.Id)(a k[h]), and
+    1, h, ..., h^{n-1} represent it: a nonzero boundary (sigma - w)(a p)
+    has degree n + deg p and leading coefficient lc(a) lc(p) (1 - w), which
+    is nonzero since w != 1, so the boundaries take one leading degree each
+    from n upwards and meet the polynomials of degree < n in zero.  The
+    reflection acts by h -> h0 + rho - h, which maps each h^i to a
+    polynomial of the same degree i < n, so its matrix on the
+    representatives is read straight off the substitution, with no
+    reduction.  The substitution must map the boundary space into itself
+    and square to the identity on the quotient -- a failure signals that
+    the reflection does not commute with the twist (w must be a square
+    root of unity).
     """
     n = spec.n
     if not is_reflection_constant(spec.a, rho):
@@ -223,7 +229,6 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
         raise HypothesisError("the twist must differ from the identity")
     order = field_order(w)
     d = max(4 * n, 12)
-    subst = Poly((spec.sigma.h0 + rho, -1))
 
     # Boundary span (sigma - w.Id)(a k[h]) in degrees <= d.
     brows = []
@@ -246,17 +251,12 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
             "it does not centralize this twist (need w^2 = 1)"
         )
 
-    # Induced map on representatives 1, h, ..., h^{n-1}: substitute, then
-    # reduce back below degree n with the boundary echelon.
-    reduce_rows = _echelon_reducer(brows, d + 1, order)
+    # Induced map on representatives 1, h, ..., h^{n-1}: each image has
+    # degree < n, so it is its own representative (see the docstring).
     matrix = []
     for i in range(n):
         image = Poly.monomial(i).compose_affine(-1, spec.sigma.h0 + rho)
-        vec = [image[k] for k in range(d + 1)]
-        vec = reduce_rows(vec)
-        if any(vec[k] for k in range(n, d + 1)):
-            raise HypothesisError("representative did not reduce below degree n")
-        matrix.append([vec[k] for k in range(n)])
+        matrix.append([image[k] for k in range(n)])
     # Involution check on the quotient.
     for i in range(n):
         twice = [sum(matrix[t][j] * matrix[i][t] for t in range(n)) for j in range(n)]
@@ -265,26 +265,6 @@ def omega_fixed_dim(spec: GWASpec, w, rho) -> int:
     # Fixed space = kernel of (M - Id) on the n-dimensional quotient.
     rows = [[matrix[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     return n - rank_rows(rows, n, order)
-
-
-def _echelon_reducer(rows, ncols, order):
-    """Row-reduce `rows` once, pivoting from the highest degree down; return
-    a function reducing vectors modulo the span.  Top-down pivots mean the
-    residue is supported on the lowest degrees, i.e. the k[h]_{<n}
-    representatives, whenever the span has one leading term per degree."""
-    pivots, echelon = field_echelon(rows, ncols, order, columns=range(ncols - 1, -1, -1))
-
-    def reduce(vec):
-        # Each echelon row is zero in the earlier pivot columns, so one pass
-        # in pivot order clears every pivot column of `vec`.
-        out = list(vec)
-        for row, col in zip(echelon, pivots):
-            f = out[col]
-            if f:
-                out = [a - f * b for a, b in zip(out, row)]
-        return out
-
-    return reduce
 
 
 def exp_triviality_on_h0(spec: GWASpec, m: int, lam, i_max: int = 3) -> bool:

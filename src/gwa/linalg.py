@@ -23,9 +23,8 @@ inner map at domain degree bound 4 and the outer one at 4 plus the margin.
 Each block of an assembled map shifts by at most one step, so a product
 that kills the columns of degree <= 4 is zero at every bound
 (`gwa.complexes._check_d_squared` states the lemma and its limits).
-Kernels and reduction modulo a span need unit pivots, so they take one
-forward sweep with unit pivots in the field itself (`field_echelon`); no
-rank does.
+The Bareiss kernels are the only elimination in the package: the
+null-space basis of `kernel_raw` is back-substituted in their echelon rows.
 
 A map's rank is the number of its pivot columns, found by one elimination
 and kept (`TruncatedMap.rank`).  Every elimination picks pivots column by
@@ -216,15 +215,6 @@ def _field(order: int | None) -> int | None:
     return None if order is None or euler_phi(order) == 1 else order
 
 
-def _to_field(v, order: int | None):
-    """`v` as a `Fraction` (order None) or a `Cyclotomic` of that order."""
-    if order is None:
-        return Fraction(_rational(v))
-    if isinstance(v, Cyclotomic) and v.order == order:
-        return v
-    return Cyclotomic.from_rational(order, _rational(v, order))
-
-
 # Elimination ----------------------------------------------------------------
 
 
@@ -311,50 +301,25 @@ def rank_rows(rows, ncols, field_order=None) -> int:
     return eliminate(rows, ncols)[0]
 
 
-def field_echelon(rows, ncols, field_order=None, columns=None):
-    """Forward elimination with unit pivots in Q or Q(zeta_m).
-
-    It serves `kernel_raw` and reduction modulo a span, which need unit
-    pivots; ranks take the Bareiss kernels (`_backend`).  Entries become
-    `Fraction`s, or `Cyclotomic`s when the field has degree above one.
-    Pivot columns are tried in the order `columns` (default left to right);
-    each pivot row is scaled to a leading 1 and cleared from the rows below
-    it only.  Returns (pivot_columns, echelon_rows): row i has a
-    1 in column pivot_columns[i] and zeros in the earlier pivot columns.
-    """
-    order = _field(field_order)
-    zero = _to_field(0, order)
-    work = [[_to_field(v, order) if v else zero for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols) if columns is None else columns:
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        top = work[r] = [v * inv if v else zero for v in work[r]]
-        for i in range(r + 1, len(work)):
-            f = work[i][col]
-            if f:
-                work[i] = [a - f * b if b else a for a, b in zip(work[i], top)]
-        pivots.append(col)
-        r += 1
-    return pivots, work[:r]
-
-
 def kernel_raw(rows, ncols, field_order=None):
     """Basis of the right null space {v : M v = 0}, denominators cleared.
 
     Entries are ints over the rationals and `Cyclotomic`s with integer
-    coefficients otherwise.  `field_echelon` gives unit pivots, so each
-    non-pivot column yields one vector by plain back-substitution.
+    coefficients otherwise.  The rows are eliminated as for a rank
+    (`_backend`); each non-pivot column then yields one vector by
+    back-substitution in the field, through the echelon rows' integer
+    cells, with one exact division by each pivot.
     """
     order = _field(field_order)
-    pivots, ech = field_echelon(rows, ncols, order)
-    zero, one = _to_field(0, order), _to_field(1, order)
+    eliminate, _ = _backend(order)
+    _, pivots, ech = eliminate(rows, ncols)
+    if order is None:
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        zero, one = Cyclotomic.from_rational(order, 0), Cyclotomic.from_rational(order, 1)
+        ech = [[Cyclotomic(order, t, reduce=False) if any(t) else zero for t in row]
+               for row in ech]
+    inverses = [one / row[p] for row, p in zip(ech, pivots)]
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -362,13 +327,13 @@ def kernel_raw(rows, ncols, field_order=None):
             continue
         v = [zero] * ncols
         v[free] = one
-        for row, p in zip(reversed(ech), reversed(pivots)):
+        for row, p, inv in zip(reversed(ech), reversed(pivots), reversed(inverses)):
             if p < free:
                 acc = zero
                 for j in range(p + 1, free + 1):
                     if row[j] and v[j]:
                         acc = acc + row[j] * v[j]
-                v[p] = -acc
+                v[p] = -acc * inv
         basis.append(_clear_denominators(v, order))
     return basis
 

@@ -187,17 +187,7 @@ class Cyclotomic:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        mine = self.coeffs
-        if len(mine) == 2:
-            # Quadratic field: multiply through z^2 = -b z - c directly.
-            phi = cyclotomic_coeffs(self.order)
-            a0, a1 = mine
-            b0, b1 = o.coeffs
-            t = a1 * b1
-            return Cyclotomic._make(
-                self.order, (a0 * b0 - phi[0] * t, a0 * b1 + a1 * b0 - phi[1] * t)
-            )
-        theirs = o.coeffs
+        mine, theirs = self.coeffs, o.coeffs
         prod = [_ZERO] * (2 * len(mine) - 1)
         for i, a in enumerate(mine):
             if a:

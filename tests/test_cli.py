@@ -427,6 +427,15 @@ def test_sweep_with_a_subcommand_is_an_input_error(capsys, tmp_path):
     assert err == "error: --sweep takes its jobs from the file only, not the subcommand 'verify'\n"
 
 
+def test_sweep_line_with_sweep_and_a_subcommand_is_an_input_error():
+    """A sweep line is refused as `main` refuses the same argv, with the
+    same message, though the file it names does not exist."""
+    record = sweep_job("--sweep nowhere.txt hh --a h --formula-only")
+    assert record["exit_code"] == EXIT_INVALID_INPUT
+    assert "report" not in record
+    assert record["error"] == "--sweep takes its jobs from the file only, not the subcommand 'hh'"
+
+
 def test_group_honours_p_max():
     argv = ["group", "--a", "h^2-3", "--classes", "order=2 omega=no;order=3 omega=yes"]
     assert run_job(argv)["results"][0]["dims"] == [1, 0, 4, 0, 0, 0]

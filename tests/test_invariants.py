@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,6 +134,37 @@ def test_omega_fixed_dim_examples():
     assert omega_fixed_dim(WEYL, Fraction(-1), Fraction(0)) == 1
     assert omega_fixed_dim(GWASpec(Poly([6, 0, -5, 0, 1]), ShiftSigma(1)),
                            Fraction(-1), Fraction(0)) == 2
+
+
+def _reflective_poly(rng, n, rho):
+    """A random a of degree n whose roots are symmetric about rho / 2, so
+    that a(rho - h) = (-1)^n a(h); roots may repeat."""
+    roots = []
+    for _ in range(n // 2):
+        r = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+        roots += [r, rho - r]
+    if n % 2:
+        roots.append(rho / 2)
+    a = Poly.const(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
+    for r in roots:
+        a = a * Poly((-r, 1))
+    return a
+
+
+def test_omega_fixed_dim_on_random_reflective_polynomials():
+    """The fixed space of the reflection on twisted degree-zero homology
+    (w = -1) has dimension floor((n+1)/2) for every reflective a."""
+    rng = random.Random(16)
+    started = time.perf_counter()
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rho = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        a = _reflective_poly(rng, n, rho)
+        assert reflectivity(a).rho == rho
+        spec = GWASpec(a, ShiftSigma(rng.choice((Fraction(1), Fraction(2), Fraction(1, 2),
+                                                 Fraction(-1)))))
+        assert omega_fixed_dim(spec, Fraction(-1), rho) == (n + 1) // 2, (a, spec.sigma)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_omega_fixed_dim_guards():

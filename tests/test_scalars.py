@@ -131,7 +131,7 @@ def _raw_product(x, y):
     return out
 
 
-@pytest.mark.parametrize("order", [5, 7, 8, 12, 105])
+@pytest.mark.parametrize("order", [3, 4, 6, 5, 7, 8, 12, 105])
 def test_product_matches_reduced_raw_product(order):
     # Phi_105 is the first cyclotomic polynomial with a coefficient other
     # than 0 and +-1.
