@@ -1,38 +1,81 @@
-"""Arithmetic in Z[zeta_m] for the cyclotomic fields of degree two or more.
+"""Arithmetic in Z[zeta_m], the ring every Bareiss elimination runs in.
 
-`gwa.linalg` imports this module on the first rank over such a field, not
-with the package: only the Bareiss kernel `_kernels.echelon_cyclo` uses it.
+Over Q the ring is Z, the cyclotomic ring of order 1 (Phi_1 = t - 1), with
+bare ints as elements; over Q(zeta_m) of degree d >= 2 it is Z[z]/Phi_m,
+with integer d-tuples.  `ring(order)` builds each once.  `gwa.linalg` and
+`Cyclotomic.inverse` import this module on first use, not with the
+package.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
 from math import gcd
+
+from .errors import InternalConsistencyError
+from .scalars import cyclotomic_coeffs
+
+
+@lru_cache(maxsize=None)
+def ring(order: int) -> "CyclotomicIntegers":
+    """The ring of integers of Q(zeta_order), built once per order; order 1
+    (and 2, the same field) gives Z."""
+    return CyclotomicIntegers(order, cyclotomic_coeffs(order))
 
 
 class CyclotomicIntegers:
-    """Arithmetic in Z[z]/Phi_m for a cyclotomic polynomial of degree d >= 2.
+    """Arithmetic in Z[z]/Phi_m for a cyclotomic polynomial of degree d.
 
-    Elements are d-tuples of ints, the coefficients of 1, z, ..., z^(d-1).
-    `mul(a, b)` and `combine` are straight-line code, compiled once per ring
-    from Phi_m's coefficients: a generic loop over the coefficients was
-    measured slower than the `Cyclotomic` sweep this arithmetic replaces.
+    Elements are d-tuples of ints, the coefficients of 1, z, ..., z^(d-1),
+    and bare ints for d = 1, where the ring is Z.  `mul(a, b)` and
+    `combine` are straight-line code, compiled once per ring from Phi_m's
+    coefficients: a generic loop over the coefficients was measured slower
+    than the `Cyclotomic` sweep this arithmetic replaces.  For d = 1, `mul`,
+    `exact` and `size` are the int operators *, // and abs, and `combine`
+    is the integer Bareiss loop.
     `cofactor(q)` is the product of the Galois conjugates of q other than q
-    itself, so q * cofactor(q) is the norm of q, a rational integer.
+    itself, so q * cofactor(q) is the norm of q, a rational integer (and
+    cofactor(q) = 1 in Z).
     """
 
     def __init__(self, order: int, phi):
         d = len(phi) - 1
         self.degree = d
-        self.zero = (0,) * d
-        self.one = (1,) + self.zero[1:]
         powers = _powers(phi, max(order, 2 * d - 1))
         # The conjugation z -> z^j sends z^i to z^(i*j mod m).
         self._conjugations = [[powers[i * j % order] for i in range(d)]
                               for j in range(2, order) if gcd(j, order) == 1]
         namespace = {}
         exec(_ring_source(d, powers), namespace)
-        self.mul = namespace["mul"]
         self.combine = namespace["combine"]
+        if d == 1:
+            self.zero, self.one = 0, 1
+            self.mul, self.exact, self.size = operator.mul, operator.floordiv, abs
+        else:
+            self.zero = (0,) * d
+            self.one = (1,) + self.zero[1:]
+            self.mul = namespace["mul"]
+
+    def exact(self, v, n):
+        """v / n for a rational integer n that divides v."""
+        return tuple(t // n for t in v)
+
+    def size(self, v):
+        """The pivot size: the sum of the absolute coefficients."""
+        return sum(map(abs, v))
+
+    def norm(self, q, k):
+        """q * k for k = cofactor(q), checked to be a nonzero rational
+        integer, so that a wrong cofactor raises rather than giving a wrong
+        division."""
+        n = self.mul(q, k)
+        value = n if self.degree == 1 else 0 if any(n[1:]) else n[0]
+        if not value:
+            raise InternalConsistencyError(
+                f"{q} times its cofactor {k} is {n}, not a nonzero rational integer"
+            )
+        return value
 
     def cofactor(self, q):
         """The product of the conjugates of q under z -> z^j, 1 < j < m,
@@ -92,13 +135,17 @@ def _ring_source(d, powers) -> str:
     """Source of `mul(a, b)` and of `combine(row, top, col, ncols, p, f, n)`,
     which sets row[j] = (p * row[j] - f * top[j]) / n for col <= j < ncols,
     skipping the cells that are zero in both rows."""
+    # Elements of Z (d = 1) are bare ints, not 1-tuples.
     def names(prefix):
-        return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
+        return f"{prefix}0" if d == 1 else ", ".join(f"{prefix}{i}" for i in range(d)) + ","
+
+    def pack(values):
+        return values[0] if d == 1 else f"({', '.join(values)},)"
 
     lines, coords = _reduced_product(d, powers, [(1, "a", "b")])
     src = ["def mul(a, b):", f"    {names('a')} = a", f"    {names('b')} = b"]
     src += ["    " + line for line in lines]
-    src.append(f"    return ({', '.join(coords)},)")
+    src.append(f"    return {pack(coords)}")
 
     lines, coords = _reduced_product(d, powers, [(1, "p", "x"), (-1, "f", "y")])
     nonzero = " or ".join(f"x{i} or y{i}" for i in range(d))
@@ -111,5 +158,5 @@ def _ring_source(d, powers) -> str:
                 f"            {names('y')} = top[j]",
                 f"            if {nonzero}:"]
         src += ["                " + line for line in lines]
-        src.append(f"                row[j] = ({', '.join(values)},)")
+        src.append(f"                row[j] = {pack(values)}")
     return "\n".join(src) + "\n"

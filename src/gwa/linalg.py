@@ -6,9 +6,10 @@ matrices between such spaces.  How to compute over a field is decided once
 per field order (`_backend`).  Every rank is computed fraction-free: rows
 are scaled to integers (over Q) or to integer coefficient tuples (over
 every cyclotomic field Q(zeta_m) of degree >= 2), and eliminated with the
-Bareiss kernels of `gwa._rankcore_py` (`echelon_int` over Q,
-`echelon_cyclo` over Z[zeta_m] for every other field), which scale the rows
-a stage leaves idle lazily.  The exact d o d = 0 test (`compose_is_zero`) scales the
+one Bareiss kernel of `gwa._rankcore_py`, `echelon_cyclo`, over the field's
+ring of integers (`gwa._cyclotomic_ring.ring`: Z over Q, Z[zeta_m] over
+every other field), which scales the rows a stage leaves idle lazily.  The
+exact d o d = 0 test (`compose_is_zero`) scales the
 outer map's rows the same way, each by its own integer, and the whole inner
 matrix by one, and it runs on integers over every field: over Q(zeta_m) of
 degree d each outer entry becomes the d x d integer block of
@@ -23,8 +24,8 @@ inner map at domain degree bound 4 and the outer one at 4 plus the margin.
 Each block of an assembled map shifts by at most one step, so a product
 that kills the columns of degree <= 4 is zero at every bound
 (`gwa.complexes._check_d_squared` states the lemma and its limits).
-The Bareiss kernels are the only elimination in the package: the
-null-space basis of `kernel_raw` is back-substituted in their echelon rows.
+The Bareiss kernel is the only elimination in the package: the null-space
+basis of `kernel_raw` is back-substituted in its echelon rows.
 
 A map's rank is the number of its pivot columns, found by one elimination
 and kept (`TruncatedMap.rank`).  Every elimination picks pivots column by
@@ -260,11 +261,13 @@ def _backend(field_order):
     both take the integer coefficient d-tuples of `_coeff_row`: the ranks
     go to `echelon_cyclo` over Z[zeta_m], and in A each outer entry
     becomes its d x d block (`_block_rows`), in B each inner entry its d
-    coordinates.  The ring arithmetic is imported and compiled here, on
-    the first use of the order, not with the package.  The Bareiss kernels
-    are looked up on `_kernels` at each call, so a wrapper installed there
-    later still sees every call; for d = 2 the call goes through the name
-    `echelon_quad`, which is `echelon_cyclo` again.
+    coordinates.  The ring is `gwa._cyclotomic_ring.ring(order)` (over Q,
+    Z, which `echelon_int` takes itself), imported on the first
+    elimination, not with the package.  The
+    Bareiss kernel is looked up on `_kernels` at each call, so a wrapper
+    installed there later still sees every call; over Q the call goes
+    through the name `echelon_int` and for d = 2 through `echelon_quad`,
+    both `echelon_cyclo` again.
     """
     order = _field(field_order)
     if order is None:
@@ -275,11 +278,11 @@ def _backend(field_order):
             return [_int_row(row) for row in outer], _scaled_as_one(inner, _int_row)
 
     else:
-        from ._cyclotomic_ring import CyclotomicIntegers
+        from . import _cyclotomic_ring
 
+        ring = _cyclotomic_ring.ring(order)
         phi = cyclotomic_coeffs(order)
-        d = len(phi) - 1
-        ring = CyclotomicIntegers(order, phi)
+        d = ring.degree
 
         def eliminate(rows, ncols):
             echelon = _kernels.echelon_quad if d == 2 else _kernels.echelon_cyclo

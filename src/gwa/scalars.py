@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import InputError
 
@@ -230,26 +231,22 @@ class Cyclotomic:
         return self.coeffs[0]
 
     def inverse(self) -> "Cyclotomic":
-        """Field inverse via the extended Euclidean algorithm against Phi_m."""
+        """Field inverse through the norm: with q = den * self in Z[z], den
+        the lcm of the denominators, and k the cofactor of q (the product of
+        its other Galois conjugates), q k is a nonzero rational integer N and
+        self^-1 = den k / N.  Rational elements take 1/x directly."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        # Invariant: s1*self = r1 modulo Phi_m; stop when r1 is a constant.
-        phi = [Fraction(c) for c in cyclotomic_coeffs(self.order)]
-        r0, r1 = phi, [c for c in self.coeffs]
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _frac_divmod(r0, r1)
-            r0, r1 = r1, rem
-            while r1 and not r1[-1]:
-                r1.pop()
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        if not r1:
-            raise ScalarFieldError("cyclotomic polynomial not irreducible?")
-        c = r1[0]
-        inv = [v / c for v in s1]
-        return Cyclotomic(self.order, inv)
+        if self.is_rational():
+            return Cyclotomic.from_rational(self.order, 1 / self.coeffs[0])
+        from ._cyclotomic_ring import ring
+
+        integers = ring(self.order)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        q = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        k = integers.cofactor(q)
+        n = integers.norm(q, k)
+        return Cyclotomic._make(self.order, tuple(Fraction(den * c, n) for c in k))
 
     def __truediv__(self, other):
         o = self._pair(other)
@@ -292,39 +289,6 @@ class Cyclotomic:
                 terms.append(base if c == 1 else (f"-{base}" if c == -1 else f"{c}*{base}"))
         body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
         return f"({body}) @ zeta{self.order}"
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] / lead
-        if c:
-            quot[i - deg_d] = c
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] -= c * dj
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
-def _frac_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1 if p and q else 0)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _frac_sub(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else Fraction(0)) - (q[i] if i < len(q) else Fraction(0))
-            for i in range(n)]
 
 
 def zeta(order: int, power: int = 1, cap: int = DEFAULT_ORDER_CAP) -> Cyclotomic:

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 import gwa.linalg
-from gwa._cyclotomic_ring import CyclotomicIntegers
+from gwa._cyclotomic_ring import CyclotomicIntegers, ring as _ring
 from gwa.algebra import GWASpec, Torus
 from gwa.complexes import ComplexKind, assemble_total_matrix
 from gwa.errors import InternalConsistencyError, StabilizationError
@@ -630,14 +630,14 @@ def test_echelon_int_matches_reference(suite):
 def test_eliminations_look_the_kernels_up_at_call_time(monkeypatch):
     """Spies set on the kernel module after the field backends are in use
     see every Bareiss call of `rank_rows` and `homology_dim_at`; a
-    reference kept from before the patch would bypass them.  The entry
-    `echelon_quad` calls `echelon_cyclo` through the module, so the spy on
-    that name sees each quadratic rank too."""
+    reference kept from before the patch would bypass them.  The entries
+    `echelon_int` and `echelon_quad` call `echelon_cyclo` through
+    the module, so the spy on that name sees every rank, over Q too."""
     spec = GWASpec(H ** 2 - 1, S1)
     kinds = {"echelon_int": ComplexKind("homology"),
              "echelon_quad": ComplexKind("homology", Torus(zeta(3))),
              "echelon_cyclo": ComplexKind("homology", Torus(zeta(5)))}
-    chains = {"echelon_int": ["echelon_int"],
+    chains = {"echelon_int": ["echelon_int", "echelon_cyclo"],
               "echelon_quad": ["echelon_quad", "echelon_cyclo"],
               "echelon_cyclo": ["echelon_cyclo"]}
     for kind in kinds.values():
@@ -760,43 +760,61 @@ def test_echelon_quad_matches_reference(suite, order):
 # Z[zeta_m] and its Bareiss kernel --------------------------------------------
 
 
-def _ring(order):
-    return CyclotomicIntegers(order, cyclotomic_coeffs(order))
-
-
-@pytest.mark.parametrize("order", [3, 4, 6, 5, 7, 8, 9, 12, 61])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 5, 7, 8, 9, 12, 61])
 def test_cyclotomic_integers_match_the_field(order):
-    """The compiled product is `Cyclotomic.__mul__`, the cofactor over the
-    norm is `Cyclotomic.inverse`, and `combine` is the Bareiss step
-    (p x - f y) / n, on integer coefficient tuples."""
+    """The compiled product is `Cyclotomic.__mul__`, q times its cofactor is
+    a nonzero rational integer (`norm`), and `combine` is the Bareiss step
+    (p x - f y) / n, on integer coefficient tuples.  Over Z, the ring of
+    orders 1 and 2, the elements are bare ints, the cofactor is 1 and
+    norm(q, 1) = q."""
     ring = _ring(order)
     d = euler_phi(order)
+    assert ring.degree == d
     rng = random.Random(order)
     size = 9 if d < 10 else 2
+
+    def element():
+        e = tuple(rng.randint(-size, size) for _ in range(d))
+        return e[0] if d == 1 else e
+
+    def field(e):
+        return Cyclotomic(order, (e,) if d == 1 else e)
+
+    def coords(c):
+        return c.coeffs[0] if d == 1 else c.coeffs
+
+    def scaled(e, n):
+        return e * n if d == 1 else tuple(c * n for c in e)
+
     for _ in range(20 if d < 10 else 2):
-        p, f, x, y = (tuple(rng.randint(-size, size) for _ in range(d)) for _ in range(4))
-        if not any(p):
+        p, f, x, y = (element() for _ in range(4))
+        if p == ring.zero:
             continue
-        assert ring.mul(p, x) == (Cyclotomic(order, p) * Cyclotomic(order, x)).coeffs
+        assert ring.mul(p, x) == coords(field(p) * field(x))
         k = ring.cofactor(p)
-        norm = ring.mul(p, k)
-        assert norm[0] > 0 and not any(norm[1:])
-        assert Cyclotomic(order, k) * Fraction(1, norm[0]) == Cyclotomic(order, p).inverse()
-        t = Cyclotomic(order, p) * Cyclotomic(order, x) - Cyclotomic(order, f) * Cyclotomic(order, y)
-        for n in (1, norm[0]):
-            row = [tuple(c * n for c in x)]
-            ring.combine(row, [tuple(c * n for c in y)], 0, 1, p, f, n)
-            assert row == [t.coeffs]
+        norm = ring.norm(p, k)
+        if d == 1:
+            assert type(p) is int and k == 1 and norm == p
+        else:
+            assert norm > 0 and ring.mul(p, k) == (norm,) + (0,) * (d - 1)
+        t = coords(field(p) * field(x) - field(f) * field(y))
+        for n in (1, norm):
+            row = [scaled(x, n)]
+            ring.combine(row, [scaled(y, n)], 0, 1, p, f, n)
+            assert row == [t]
 
 
 def test_a_wrong_cofactor_raises(monkeypatch):
-    """q * cofactor(q) is checked at every pivot: a cofactor off by the unit
-    zeta gives a product that is not a rational integer."""
+    """q * cofactor(q) is checked at every pivot and in every inverse: a
+    cofactor off by the unit zeta gives a product that is not a rational
+    integer."""
     real = CyclotomicIntegers.cofactor
     monkeypatch.setattr(CyclotomicIntegers, "cofactor",
                         lambda self, q: self.mul(real(self, q), (0, 1, 0, 0)))
     with pytest.raises(InternalConsistencyError):
         rank_rows([[zeta(5), 1], [1, zeta(5) ** 2]], 2, 5)
+    with pytest.raises(InternalConsistencyError):
+        zeta(5).inverse()
 
 
 def _field_size(v):

@@ -116,6 +116,20 @@ def test_inverse_is_two_sided(a):
     assert inv * a == 1
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12, 61])
+def test_inverse_of_fraction_coefficients(order):
+    """The inverse through the norm, on elements with Fraction coefficients
+    and on rational ones."""
+    rng = random.Random(order)
+    d = euler_phi(order)
+    for _ in range(8 if d < 10 else 2):
+        x = Cyclotomic(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                               for _ in range(d)])
+        if x:
+            assert x * x.inverse() == 1
+    assert Cyclotomic.from_rational(order, Fraction(-2, 3)).inverse() == Fraction(-3, 2)
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.from_rational(3, 0).inverse()
