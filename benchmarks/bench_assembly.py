@@ -93,25 +93,51 @@ def one_pass(gwa, order: int | None,
     return spent[0], spent[1], total, spent[2]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def arguments(doc: str) -> argparse.ArgumentParser:
+    """A parser of the options every benchmark script takes: `--src`,
+    `--label` and `--out`."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the gwa package")
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", type=Path)
+    return parser
+
+
+def import_gwa(src: str):
+    """The gwa package imported from the directory `src`; exits with status 2
+    if the import finds another copy."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import gwa
+
+    if not Path(gwa.__file__).resolve().is_relative_to(src):
+        print(f"error: imported gwa from {gwa.__file__}, not {src}", file=sys.stderr)
+        raise SystemExit(2)
+    return gwa
+
+
+def report(result: dict, out: Path | None, label: str) -> None:
+    """Print `result` as JSON.  With `out`, also store it in that JSON file
+    under `label`, beside `machine()`, keeping the other labels there."""
+    print(json.dumps(result))
+    if out is not None:
+        data = json.loads(out.read_text()) if out.exists() else {}
+        data["machine"] = machine()
+        data.setdefault("results", {})[label] = result
+        out.write_text(json.dumps(data, indent=2) + "\n")
+
+
+def main() -> int:
+    parser = arguments(__doc__)
     parser.add_argument("--fields", nargs="+", choices=list(FIELDS), default=list(FIELDS),
                         help="fields to run (default: all)")
     args = parser.parse_args()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import gwa
+    gwa = import_gwa(args.src)
     import gwa.algebra
     import gwa.complexes
     import gwa.poly
     import gwa.scalars
 
-    if not Path(gwa.__file__).resolve().is_relative_to(src):
-        print(f"error: imported gwa from {gwa.__file__}, not {src}", file=sys.stderr)
-        return 2
     fields = {}
     for name in args.fields:
         with calibrate.Gauge() as gauge:
@@ -133,12 +159,7 @@ def main() -> int:
     result = {"a": A, "h0": "1", "p_max": P_MAX, "runs": RUNS,
               "unit": f"reference s ({calibrate.REFERENCE_S} s per calibration kernel run)",
               "fields": fields}
-    print(json.dumps(result))
-    if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data["machine"] = machine()
-        data.setdefault("results", {})[args.label] = result
-        args.out.write_text(json.dumps(data, indent=2) + "\n")
+    report(result, args.out, args.label)
     return 0
 
 

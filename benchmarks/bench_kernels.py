@@ -1,7 +1,6 @@
 """Time the Bareiss elimination of assembled maps, per field.
 
     python3 benchmarks/bench_kernels.py --src src
-    python3 benchmarks/bench_kernels.py --src src --fields Q
     python3 benchmarks/bench_kernels.py --src src --label change --out BENCH_kernels.json
 
 Imports `gwa` from `--src` and assembles, once per field, the maps out of
@@ -11,29 +10,27 @@ schedule's second D: domain bound D + n + 1, codomain bound D + 2(n + 1).
 Over Q the complexes are untwisted; over zeta3 and zeta5 they carry the
 torus twist w = zeta_m.  Each run passes every map to the `eliminate` of
 `gwa.linalg._backend(order)`, the elimination behind every rank (row
-preparation included), and is timed with `time.perf_counter`.  For each
-field named by `--fields` (default: all) it prints the best of 7 runs,
+preparation included).  For each field it prints the median of 7 runs,
 with every sample, the number of maps, their cells and the sum of their
 ranks, which must agree between two code bases for their times to be
-compared.  With `--out`, the result is also stored in that JSON file under
-`--label`, beside a description of the machine it ran on
-(`bench_assembly.machine`); other labels already in the file are kept.
+compared.  `--src`, `--label` and `--out` work as in `bench_assembly.py`.
 
-Times are raw seconds.  The best of 7 back-to-back runs is the kernel's
-cost at the host's fastest speed during them; run two code bases one after
-the other, in ABBA order, to compare them.
+Times are reference seconds of the calibration gauge in
+`oraclebench/calibrate.py`, as in `bench_assembly.py`: the host's speed
+drifts by up to 2x over minutes, which raw seconds would carry into every
+comparison.  The median, not the best, of the runs: a run over Q spans
+only one or two gauge samples, and the best run is the one whose samples
+happened to read the host slowest.  Run two code bases one after the
+other, in ABBA order, to compare them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
+import statistics
 import sys
-import time
 from fractions import Fraction
-from pathlib import Path
 
-from bench_assembly import machine
+from bench_assembly import arguments, calibrate, import_gwa, report
 
 #: (a, h0) in integral normal form, so the oracle would assemble these maps.
 POLYS = (("h^2-1", "1"), ("h^3-h", "1"), ("h^3-h^2", "1"), ("h^2-3*h+2", "1"))
@@ -65,49 +62,35 @@ def assembled_maps(order: int | None) -> list:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="directory holding the gwa package")
-    parser.add_argument("--label", default="run")
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--fields", nargs="+", choices=list(FIELDS), default=list(FIELDS),
-                        help="fields to run (default: all)")
-    args = parser.parse_args()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import gwa
+    args = arguments(__doc__).parse_args()
+    gwa = import_gwa(args.src)
     import gwa.linalg
 
-    if not Path(gwa.__file__).resolve().is_relative_to(src):
-        print(f"error: imported gwa from {gwa.__file__}, not {src}", file=sys.stderr)
-        return 2
     fields = {}
-    for name in args.fields:
-        order = FIELDS[name]
+    for name, order in FIELDS.items():
         maps = assembled_maps(order)
         eliminate, _ = gwa.linalg._backend(order)
-        samples, ranks = [], 0
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            ranks = sum(eliminate(tm.rows, tm.domain.dim)[0] for tm in maps)
-            samples.append(time.perf_counter() - start)
+        with calibrate.Gauge() as gauge:
+            runs = [gauge.timed(lambda: sum(eliminate(tm.rows, tm.domain.dim)[0]
+                                            for tm in maps))
+                    for _ in range(RUNS)]
+        ranks, samples = zip(*runs)
         fields[name] = {
-            "best_s": round(min(samples), 4),
+            "median_s": round(statistics.median(samples), 4),
             "samples_s": [round(v, 4) for v in samples],
             "maps": len(maps),
             "cells": sum(tm.domain.dim * tm.codomain.dim for tm in maps),
-            "rank_sum": ranks,
+            "rank_sum": ranks[0],
         }
-        print(f"{name:6} best {fields[name]['best_s']:.4f} s of {RUNS} runs, "
-              f"{len(maps)} maps, {fields[name]['cells']} cells, rank sum {ranks}",
-              file=sys.stderr)
+        print(f"{name:6} median {fields[name]['median_s']:.4f} s of {RUNS} runs, "
+              f"{len(maps)} maps, {fields[name]['cells']} cells, rank sum {ranks[0]} "
+              "(reference seconds)", file=sys.stderr)
     result = {"polys": [f"a = {a}, h0 = {h0}" for a, h0 in POLYS], "degrees": list(DEGREES),
-              "runs": RUNS, "unit": "s (best of runs)", "fields": fields}
-    print(json.dumps(result))
-    if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data["machine"] = machine()
-        data.setdefault("results", {})[args.label] = result
-        args.out.write_text(json.dumps(data, indent=2) + "\n")
+              "runs": RUNS,
+              "unit": f"reference s, median of runs ({calibrate.REFERENCE_S} s per "
+                      "calibration kernel run)",
+              "fields": fields}
+    report(result, args.out, args.label)
     return 0
 
 
