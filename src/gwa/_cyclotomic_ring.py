@@ -2,19 +2,22 @@
 
 Over Q the ring is Z, the cyclotomic ring of order 1 (Phi_1 = t - 1), with
 bare ints as elements; over Q(zeta_m) of degree d >= 2 it is Z[z]/Phi_m,
-with integer d-tuples.  `ring(order)` builds each once.  `gwa.linalg` and
-`Cyclotomic.inverse` import this module on first use, not with the
-package.
+with integer d-tuples.  `ring(order)` builds each once.  The ring is the
+one place that knows this element format: `CyclotomicIntegers.scale` turns
+field scalars into its elements, for every row an elimination or a d o d
+product takes and for `Cyclotomic.inverse`, and `coordinates` reads them
+back as integer rows.  `gwa.linalg` and `Cyclotomic.inverse` import this
+module on first use, not with the package.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalConsistencyError
-from .scalars import cyclotomic_coeffs
+from .scalars import Cyclotomic, ScalarFieldError, cyclotomic_coeffs
 
 
 @lru_cache(maxsize=None)
@@ -41,7 +44,7 @@ class CyclotomicIntegers:
 
     def __init__(self, order: int, phi):
         d = len(phi) - 1
-        self.degree = d
+        self.order, self.degree = order, d
         powers = _powers(phi, max(order, 2 * d - 1))
         # The conjugation z -> z^j sends z^i to z^(i*j mod m).
         self._conjugations = [[powers[i * j % order] for i in range(d)]
@@ -56,6 +59,46 @@ class CyclotomicIntegers:
             self.zero = (0,) * d
             self.one = (1,) + self.zero[1:]
             self.mul = namespace["mul"]
+
+    def scale(self, values):
+        """(den, elements): `values`, a row of field scalars, times den, the
+        lcm of all their coefficient denominators, as elements of this ring.
+
+        Entries may be ints, `Fraction`s, `Cyclotomic`s of this ring's
+        order and rational `Cyclotomic`s of any order; any other
+        `Cyclotomic` raises a `ScalarFieldError`.  Zero entries become one
+        shared zero element.  Over Z a list of plain ints is scaled by 1
+        and returned itself, not copied, so callers must not mutate the
+        elements.
+        """
+        d, order = self.degree, self.order
+        if d == 1 and set(map(type, values)) <= {int}:
+            return 1, values
+        zero = (0,) * d
+        coeffs = [zero if not v
+                  else v.coeffs if isinstance(v, Cyclotomic) and v.order == order
+                  else (_rational(v, order),) + zero[1:]
+                  for v in values]
+        den = 1
+        for t in coeffs:
+            if t is not zero:
+                for c in t:
+                    dc = c.denominator
+                    if dc != 1 and den % dc:
+                        den = lcm(den, dc)
+        if d == 1:
+            return den, [0 if t is zero else t[0].numerator * (den // t[0].denominator)
+                         for t in coeffs]
+        return den, [zero if t is zero
+                     else tuple(c.numerator * (den // c.denominator) if c else 0 for c in t)
+                     for t in coeffs]
+
+    def coordinates(self, elements):
+        """The d integer rows whose row t holds coordinate t of each of
+        `elements`: over Z, `[elements]`."""
+        if self.degree == 1:
+            return [elements]
+        return [[e[t] for e in elements] for t in range(self.degree)]
 
     def exact(self, v, n):
         """v / n for a rational integer n that divides v."""
@@ -90,6 +133,16 @@ class CyclotomicIntegers:
                             c[t] += qi * v
             k = self.mul(k, tuple(c))
         return k
+
+
+def _rational(v, order):
+    """`v`, an int, `Fraction` or rational `Cyclotomic`, as an int or
+    `Fraction`."""
+    if isinstance(v, Cyclotomic):
+        if not v.is_rational():
+            raise ScalarFieldError(f"mixed cyclotomic orders {v.order} and {order}")
+        return v.coeffs[0]
+    return v
 
 
 def _powers(phi, count):

@@ -363,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("group", "invariant cohomology from conjugacy-class data",
                 _add_input, _add_output)
-    p.add_argument("--classes", help='semicolon-separated lines "order=<m> omega=<yes|no>"')
-    p.add_argument("--classes-file", help="file with one class per line")
+    classes = p.add_mutually_exclusive_group()
+    classes.add_argument("--classes", help='semicolon-separated lines "order=<m> omega=<yes|no>"')
+    classes.add_argument("--classes-file", help="file with one class per line")
 
     p = command("verify", "formula vs oracle cross-validation", *table)
     p.add_argument("--kind", choices=["homology", "cohomology", "both"], default="both")

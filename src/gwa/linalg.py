@@ -3,22 +3,23 @@
 A truncated space is a finite sum of copies of k[h] cut off at a degree
 bound; every dimension count in the package reduces to ranks of exact
 matrices between such spaces.  How to compute over a field is decided once
-per field order (`_backend`).  Every rank is computed fraction-free: rows
-are scaled to integers (over Q) or to integer coefficient tuples (over
-every cyclotomic field Q(zeta_m) of degree >= 2), and eliminated with the
-one Bareiss kernel of `gwa._rankcore_py`, `echelon_cyclo`, over the field's
+per field order (`_backend`), and every field takes the same steps over its
 ring of integers (`gwa._cyclotomic_ring.ring`: Z over Q, Z[zeta_m] over
-every other field), which scales the rows a stage leaves idle lazily.  The
-exact d o d = 0 test (`compose_is_zero`) scales the
-outer map's rows the same way, each by its own integer, and the whole inner
-matrix by one, and it runs on integers over every field: over Q(zeta_m) of
-degree d each outer entry becomes the d x d integer block of
-multiplication by it, and each inner entry its d coordinates.  The scaling
-contract: each row, and the inner matrix as a whole, is multiplied by a
-positive integer, the lcm of its denominators, and no `Fraction` is built
-on the way; so ranks, and whether a product is zero, are unchanged.  The
-oracle's matrices over Q have int cells (`gwa.complexes._assemble`), so
-over Q a row of plain ints is scaled by 1 and passed on as it is.
+every other field).  Every rank is computed fraction-free: the ring's one
+scaling routine, `scale`, turns each row into ring elements (bare ints
+over Q, integer coefficient d-tuples over Q(zeta_m) of degree d >= 2), and
+the one Bareiss kernel of `gwa._rankcore_py`, `echelon_cyclo`, eliminates
+them, scaling the rows a stage leaves idle lazily.  The exact d o d = 0
+test (`compose_is_zero`) scales the outer map's rows the same way, each by
+its own integer, and the whole inner matrix by one, and runs on integers:
+each outer entry becomes the d x d integer block of multiplication by it
+(over Q, the entry itself), and each inner entry its d coordinates.  The
+scaling contract: each row, and the inner matrix as a whole, is multiplied
+by a positive integer, the lcm of its coefficient denominators, and no
+`Fraction` is built on the way; so ranks, and whether a product is zero,
+are unchanged.  The oracle's matrices over Q have int cells
+(`gwa.complexes._assemble`), so over Q a row of plain ints is scaled by 1
+and passed on as it is.
 The oracle runs that test once per call and on small matrices only: the
 inner map at domain degree bound 4 and the outer one at 4 plus the margin.
 Each block of an assembled map shifts by at most one step, so a product
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
 
 from . import _rankcore_py as _kernels
 from .errors import InputError, InternalConsistencyError, StabilizationError
@@ -153,63 +153,6 @@ class TruncatedMap:
         return bisect_left(self._source._pivot_columns(), self.domain.dim)
 
 
-# Scalar-row preparation (the scaling contract in the module docstring) ------
-
-
-def _rational(v, order=None):
-    """`v` as an int or `Fraction`; `v` may be a rational `Cyclotomic`."""
-    if isinstance(v, Cyclotomic):
-        if order is not None and not v.is_rational():
-            raise InputError(f"mixed cyclotomic orders {v.order} and {order}")
-        return v.rational_value()
-    return v
-
-
-def _int_row(row):
-    """`row` times the lcm of its denominators: a list of ints.
-
-    Entries may be ints, `Fraction`s and rational `Cyclotomic`s.  A row of
-    plain ints, as the oracle assembles over Q, is scaled by 1: it is
-    returned itself, not copied, so callers must not mutate the result.
-    """
-    if set(map(type, row)) <= {int}:
-        return row
-    if any(isinstance(v, Cyclotomic) for v in row):
-        row = [_rational(v) for v in row]
-    den = 1
-    for v in row:
-        d = v.denominator
-        if d != 1 and den % d:
-            den = lcm(den, d)
-    if den == 1:
-        return [v.numerator for v in row]
-    return [v.numerator * (den // v.denominator) if v else 0 for v in row]
-
-
-def _coeff_row(row, order):
-    """`row` over Q(zeta_order), a field of degree phi >= 2, as integer
-    coefficient phi-tuples, scaled by the lcm of all coefficient denominators.
-
-    Entries may be ints, `Fraction`s and `Cyclotomic`s of that order or
-    rational ones of any order.  Zero entries become one shared zero tuple.
-    """
-    zero = (0,) * euler_phi(order)
-    tuples = [zero if not v
-              else v.coeffs if isinstance(v, Cyclotomic) and v.order == order
-              else (_rational(v, order),) + zero[1:]
-              for v in row]
-    den = 1
-    for t in tuples:
-        if t is not zero:
-            for v in t:
-                dv = v.denominator
-                if dv != 1 and den % dv:
-                    den = lcm(den, dv)
-    return [t if t is zero
-            else tuple(v.numerator * (den // v.denominator) if v else 0 for v in t)
-            for t in tuples]
-
-
 def _field(order: int | None) -> int | None:
     """The field order to compute in; None for Q, which Q(zeta_1) and
     Q(zeta_2) are."""
@@ -219,27 +162,23 @@ def _field(order: int | None) -> int | None:
 # Elimination ----------------------------------------------------------------
 
 
-def _scaled_as_one(rows, scale_row):
-    """`rows` all multiplied by one positive integer: `scale_row` applied to
-    the matrix read as one long row, cut back into rows."""
-    width = len(rows[0]) if rows else 0
-    flat = scale_row([v for row in rows for v in row])
-    return [flat[i * width:(i + 1) * width] for i in range(len(rows))]
-
-
-def _block_rows(row, phi):
-    """The d integer rows of multiplication by the entries of `row`, a row
-    of d-tuples in Z[z]/Phi with Phi = phi ascending and monic of degree d.
+def _block_rows(x, phi):
+    """The d integer rows of multiplication by the entries a_0, ...,
+    a_{n-1} of a row over Z[z]/Phi, Phi = phi ascending and monic of
+    degree d, given by their coordinates: x[t][j] is coordinate t of a_j
+    (the ring's `coordinates`).
 
     Entry j becomes the d x d block whose column k holds the coordinates
-    of a_j z^k, in column k * len(row) + j.  Each a_j z^k is a_j z^(k-1)
-    times z, reduced by one step of z^d = -(phi_0 + ... + phi_{d-1}
-    z^(d-1)), for the whole row at once.  For d = 2, Phi = t^2 + b t + c,
-    the block of a0 + a1 z is [[a0, -c a1], [a1, a0 - b a1]].
+    of a_j z^k, in column k * n + j.  Each a_j z^k is a_j z^(k-1) times z,
+    reduced by one step of z^d = -(phi_0 + ... + phi_{d-1} z^(d-1)), for
+    the whole row at once.  For d = 2, Phi = t^2 + b t + c, the block of
+    a0 + a1 z is [[a0, -c a1], [a1, a0 - b a1]].  For d = 1 the block of
+    a is a itself, and x is returned as it is, not copied.
     """
     d = len(phi) - 1
+    if d == 1:
+        return x
     # x[t][j]: coordinate t of a_j z^k, for k = 0, 1, ... in turn.
-    x = [[a[t] for a in row] for t in range(d)]
     out = [list(xt) for xt in x]
     for _ in range(d - 1):
         top = x[-1]
@@ -257,41 +196,38 @@ def _backend(field_order):
     Returns (eliminate, factors).  `eliminate(rows, ncols)` prepares the
     rows and returns (rank, pivot_columns, echelon_rows).  `factors(outer,
     inner)` turns the rows of two matrices into integer rows A and B with
-    A B = 0 exactly when outer o inner = 0.  Over Q(zeta_m) of degree d
-    both take the integer coefficient d-tuples of `_coeff_row`: the ranks
-    go to `echelon_cyclo` over Z[zeta_m], and in A each outer entry
-    becomes its d x d block (`_block_rows`), in B each inner entry its d
-    coordinates.  The ring is `gwa._cyclotomic_ring.ring(order)` (over Q,
-    Z, which `echelon_int` takes itself), imported on the first
-    elimination, not with the package.  The
-    Bareiss kernel is looked up on `_kernels` at each call, so a wrapper
-    installed there later still sees every call; over Q the call goes
-    through the name `echelon_int` and for d = 2 through `echelon_quad`,
-    both `echelon_cyclo` again.
+    A B = 0 exactly when outer o inner = 0.  Every field takes the same
+    steps over its ring of integers, `gwa._cyclotomic_ring.ring(order)`
+    (Z over Q, Z[zeta_m] of degree d otherwise), imported on the first
+    elimination, not with the package.  A row is prepared by the ring's
+    `scale`, each row by its own positive integer; the ranks go to the
+    Bareiss kernel; in A each outer entry becomes its d x d block
+    (`_block_rows`), and in B, the inner matrix scaled as one long row,
+    each inner entry its d coordinates (over Z, d = 1: A and B are the
+    scaled rows themselves).  The kernel is looked up on `_kernels` at
+    each call, so a wrapper installed there later still sees every call;
+    the call goes through the name `echelon_int` for d = 1 and
+    `echelon_quad` for d = 2, both `echelon_cyclo` again.
     """
-    order = _field(field_order)
-    if order is None:
-        def eliminate(rows, ncols):
-            return _kernels.echelon_int([_int_row(row) for row in rows], ncols)
+    from . import _cyclotomic_ring
 
-        def factors(outer, inner):
-            return [_int_row(row) for row in outer], _scaled_as_one(inner, _int_row)
+    order = _field(field_order) or 1
+    ring = _cyclotomic_ring.ring(order)
+    phi = cyclotomic_coeffs(order)
+    d, scale, coordinates = ring.degree, ring.scale, ring.coordinates
 
-    else:
-        from . import _cyclotomic_ring
+    def eliminate(rows, ncols):
+        rows = [scale(row)[1] for row in rows]
+        if d == 1:
+            return _kernels.echelon_int(rows, ncols)
+        echelon = _kernels.echelon_quad if d == 2 else _kernels.echelon_cyclo
+        return echelon(rows, ncols, ring)
 
-        ring = _cyclotomic_ring.ring(order)
-        phi = cyclotomic_coeffs(order)
-        d = ring.degree
-
-        def eliminate(rows, ncols):
-            echelon = _kernels.echelon_quad if d == 2 else _kernels.echelon_cyclo
-            return echelon([_coeff_row(row, order) for row in rows], ncols, ring)
-
-        def factors(outer, inner):
-            blocks = [r for row in outer for r in _block_rows(_coeff_row(row, order), phi)]
-            scaled = _scaled_as_one(inner, lambda row: _coeff_row(row, order))
-            return blocks, [[e[k] for e in row] for k in range(d) for row in scaled]
+    def factors(outer, inner):
+        blocks = [r for row in outer for r in _block_rows(coordinates(scale(row)[1]), phi)]
+        width = len(inner[0]) if inner else 0
+        coords = coordinates(scale([v for row in inner for v in row])[1])
+        return blocks, [c[i * width:(i + 1) * width] for c in coords for i in range(len(inner))]
 
     return eliminate, factors
 
@@ -311,17 +247,24 @@ def kernel_raw(rows, ncols, field_order=None):
     coefficients otherwise.  The rows are eliminated as for a rank
     (`_backend`); each non-pivot column then yields one vector by
     back-substitution in the field, through the echelon rows' integer
-    cells, with one exact division by each pivot.
+    cells, with one exact division by each pivot, and is scaled by the
+    ring's `scale`.
     """
+    from ._cyclotomic_ring import ring
+
     order = _field(field_order)
     eliminate, _ = _backend(order)
     _, pivots, ech = eliminate(rows, ncols)
     if order is None:
-        zero, one = Fraction(0), Fraction(1)
+        # Z's elements, ints, are scalars of Q as they are.
+        zero, one, element = Fraction(0), Fraction(1), int
     else:
         zero, one = Cyclotomic.from_rational(order, 0), Cyclotomic.from_rational(order, 1)
-        ech = [[Cyclotomic(order, t, reduce=False) if any(t) else zero for t in row]
-               for row in ech]
+
+        def element(t):
+            return Cyclotomic(order, t, reduce=False) if any(t) else zero
+
+        ech = [[element(t) for t in row] for row in ech]
     inverses = [one / row[p] for row, p in zip(ech, pivots)]
     pivot_set = set(pivots)
     basis = []
@@ -337,16 +280,8 @@ def kernel_raw(rows, ncols, field_order=None):
                     if row[j] and v[j]:
                         acc = acc + row[j] * v[j]
                 v[p] = -acc * inv
-        basis.append(_clear_denominators(v, order))
+        basis.append([element(e) for e in ring(order or 1).scale(v)[1]])
     return basis
-
-
-def _clear_denominators(v, order):
-    if order is None:
-        den = lcm(*(e.denominator for e in v))
-        return [int(e * den) for e in v]
-    den = lcm(*(c.denominator for e in v for c in e.coeffs))
-    return [Cyclotomic(order, [c * den for c in e.coeffs], reduce=False) for e in v]
 
 
 # Stabilization --------------------------------------------------------------

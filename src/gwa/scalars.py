@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .errors import InputError
 
@@ -232,9 +231,10 @@ class Cyclotomic:
 
     def inverse(self) -> "Cyclotomic":
         """Field inverse through the norm: with q = den * self in Z[z], den
-        the lcm of the denominators, and k the cofactor of q (the product of
-        its other Galois conjugates), q k is a nonzero rational integer N and
-        self^-1 = den k / N.  Rational elements take 1/x directly."""
+        the lcm of the denominators (the ring's `scale`), and k the cofactor
+        of q (the product of its other Galois conjugates), q k is a nonzero
+        rational integer N and self^-1 = den k / N.  Rational elements take
+        1/x directly."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.is_rational():
@@ -242,8 +242,7 @@ class Cyclotomic:
         from ._cyclotomic_ring import ring
 
         integers = ring(self.order)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        q = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        den, (q,) = integers.scale([self])
         k = integers.cofactor(q)
         n = integers.norm(q, k)
         return Cyclotomic._make(self.order, tuple(Fraction(den * c, n) for c in k))

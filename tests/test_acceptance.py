@@ -8,6 +8,7 @@ budgets are asserted with wall-clock measurements.
 import time
 from fractions import Fraction
 
+from conftest import h0_basis_independent
 from gwa.algebra import GWASpec, Torus
 from gwa.complexes import (
     COHOMOLOGY,
@@ -22,7 +23,6 @@ from gwa.complexes import (
 from gwa.formulas import coh_dims, duality_flag, hh_dims, twisted_dims
 from gwa.invariants import (
     exp_triviality_on_h0,
-    h0_basis_independent,
     h0_bruteforce,
     invariant_gwa,
     omega_fixed_dim,

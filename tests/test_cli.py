@@ -387,6 +387,29 @@ def test_negative_p_max_is_an_input_error(capsys, argv):
     assert "--p-max" in record["error"] and "report" not in record
 
 
+def _both_class_sources(tmp_path):
+    path = tmp_path / "classes.txt"
+    path.write_text("")
+    return ["group", "--a", "h^2-1", "--classes", "order=2 omega=no",
+            "--classes-file", str(path)]
+
+
+def test_classes_and_classes_file_together_are_refused(capsys, tmp_path):
+    """`group` reads its classes from one source; naming both would drop
+    one of them silently, so argparse refuses the pair."""
+    with pytest.raises(SystemExit) as exc:
+        main(_both_class_sources(tmp_path))
+    assert exc.value.code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.endswith(
+        "error: argument --classes-file: not allowed with argument --classes\n")
+
+
+def test_sweep_line_with_classes_and_classes_file_is_an_input_error(tmp_path):
+    record = sweep_job(" ".join(repr(arg) for arg in _both_class_sources(tmp_path)))
+    assert record["exit_code"] == EXIT_INVALID_INPUT and "report" not in record
+    assert record["error"].endswith("not allowed with argument --classes")
+
+
 @pytest.mark.parametrize("make", [
     lambda path: None,
     lambda path: path.mkdir(),

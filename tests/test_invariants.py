@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import h0_basis_independent
 import gwa.invariants
 from gwa.algebra import GWASpec
 from gwa.errors import HypothesisError, InputError
@@ -13,7 +14,6 @@ from gwa.invariants import (
     GroupClassData,
     exp_triviality_on_h0,
     group_report,
-    h0_basis_independent,
     h0_bruteforce,
     invariant_gwa,
     omega_fixed_dim,

@@ -8,15 +8,13 @@ import gwa.linalg
 from gwa._cyclotomic_ring import CyclotomicIntegers, ring as _ring
 from gwa.algebra import GWASpec, Torus
 from gwa.complexes import ComplexKind, assemble_total_matrix
-from gwa.errors import InternalConsistencyError, StabilizationError
+from gwa.errors import InputError, InternalConsistencyError, StabilizationError
 from gwa.invariants import h0_bruteforce
 from gwa.linalg import (
     Schedule,
     TruncatedMap,
     TruncatedSpace,
     _block_rows,
-    _coeff_row,
-    _int_row,
     _kernels,
     compose_is_zero,
     homology_dim_at,
@@ -378,13 +376,12 @@ def test_row_preparation_scales_rows_by_positive_integers(order):
         nr, nc = rng.randint(1, 6), rng.randint(1, 7)
         rows = _mixed_rows(rng, order, nr, nc)
         for row in rows:
+            out = _ring(order or 1).scale(row)[1]
             if order is None:
-                out = _int_row(row)
                 assert all(type(e) is int for e in out)
                 _assert_positive_multiple(out, row, order, Fraction)
             else:
                 d = euler_phi(order)
-                out = _coeff_row(row, order)
                 assert all(len(e) == d and all(type(a) is int for a in e) for e in out)
                 _assert_positive_multiple(out, row, order, lambda e: Cyclotomic(order, e))
         assert rank_rows(rows, nc, order) == len(field_echelon(rows, nc, order)[0])
@@ -398,9 +395,10 @@ def test_int_rows_over_q_pass_through_unscaled():
     rng = random.Random(5)
     for _ in range(20):
         row = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
-        assert _int_row(row) is row
+        den, out = _ring(1).scale(row)
+        assert den == 1 and out is row
     mixed = [Fraction(2), 3, 0]
-    out = _int_row(mixed)
+    out = _ring(1).scale(mixed)[1]
     assert out == [2, 3, 0] and out is not mixed and all(type(e) is int for e in out)
     spec = GWASpec(Poly([0, -1, 0, 1]), S1)
     outer = assemble_total_matrix(spec, ComplexKind("homology"), 1, 8, 12)
@@ -409,6 +407,23 @@ def test_int_rows_over_q_pass_through_unscaled():
     assert outer.rank() == len(field_echelon(outer.rows, outer.domain.dim)[0])
     assert compose_is_zero(outer, inner)
     assert (outer.rows, inner.rows) == before
+
+
+@pytest.mark.parametrize("order", [None, 5], ids=["Q", "zeta5"])
+def test_an_entry_of_another_field_is_an_input_error(order):
+    """A non-rational scalar of another field, zeta3 here, is refused by
+    the row scaling of every routine that takes field scalars, over Q and
+    over zeta5 alike, and never read as an element of the field."""
+    rows = [[1, zeta(3)], [Fraction(1, 2), 0]]
+    with pytest.raises(InputError):
+        rank_rows(rows, 2, order)
+    with pytest.raises(InputError):
+        kernel_raw(rows, 2, order)
+    good, bad = _as_map([[1, 0], [0, 1]], 2, order), _as_map(rows, 2, order)
+    with pytest.raises(InputError):
+        compose_is_zero(bad, good)
+    with pytest.raises(InputError):
+        compose_is_zero(good, bad)
 
 
 def _zero_product_pair(rng, order, nr, nc):
@@ -494,24 +509,28 @@ def test_compose_is_zero_matches_the_field_product(order):
 
 @pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12, 105])
 def test_block_times_coordinates_is_the_field_product(order):
-    """The d x d block of a (`_block_rows` of the row [a]) times the
-    coordinates of x gives the coordinates of the field product a x, and a
-    longer row puts entry j's column k at k * len(row) + j.  Phi_105 has a
-    coefficient -2, so a reduction step that takes Phi's coefficients for
-    signs alone shows here."""
+    """The d x d block of a (`_block_rows` of the row [a], given by its
+    coordinates) times the coordinates of x gives the coordinates of the
+    field product a x, and a longer row puts entry j's column k at
+    k * len(row) + j.  Phi_105 has a coefficient -2, so a reduction step
+    that takes Phi's coefficients for signs alone shows here."""
     phi = cyclotomic_coeffs(order)
     d = len(phi) - 1
     rng = random.Random(order)
+
+    def coordinates(row):
+        return [[a[t] for a in row] for t in range(d)]
+
     units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     entries = units + [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(20)]
-    blocks = [_block_rows([a], phi) for a in entries]
+    blocks = [_block_rows(coordinates([a]), phi) for a in entries]
     for a, block in zip(entries, blocks):
         assert len(block) == d and all(len(r) == d for r in block)
         for x in units + [[rng.randint(-9, 9) for _ in range(d)] for _ in range(3)]:
             got = [sum(b * xk for b, xk in zip(r, x)) for r in block]
             assert got == list((Cyclotomic(order, a) * Cyclotomic(order, x)).coeffs)
     n = len(entries)
-    side_by_side = _block_rows(entries, phi)
+    side_by_side = _block_rows(coordinates(entries), phi)
     assert all(side_by_side[t][k * n + j] == blocks[j][t][k]
                for t in range(d) for k in range(d) for j in range(n))
 
@@ -611,7 +630,7 @@ def test_echelon_int_matches_reference(suite):
         inputs.append((rows, nc))
     kinds = [ComplexKind("homology"), ComplexKind("cohomology"),
              ComplexKind("homology", Torus(Fraction(-1)))]
-    inputs += [([_int_row(row) for row in tm.rows], tm.domain.dim)
+    inputs += [([_ring(1).scale(row)[1] for row in tm.rows], tm.domain.dim)
                for tm in assembled_maps(suite, kinds)]
     seen = {"deficient": 0, "zero_column": 0, "nontrivial_prev": 0, "lazy": 0}
     for rows, nc in inputs:
@@ -735,7 +754,7 @@ def test_echelon_quad_matches_reference(suite, order):
                 row[zero] = (0, 0)
         inputs.append((rows, nc))
     kinds = [ComplexKind(variant, Torus(zeta(order))) for variant in ("homology", "cohomology")]
-    inputs += [([_coeff_row(row, order) for row in tm.rows], tm.domain.dim)
+    inputs += [([ring.scale(row)[1] for row in tm.rows], tm.domain.dim)
                for tm in assembled_maps(suite, kinds)]
 
     def update(p, x, f, y, q):
@@ -903,7 +922,7 @@ def test_echelon_cyclo_matches_reference(suite, order):
         kinds = [ComplexKind(variant, Torus(zeta(order))) for variant in ("homology", "cohomology")]
         for tm in assembled_maps(suite, kinds):
             rank, pivots, _ = _kernels.echelon_cyclo(
-                [_coeff_row(row, order) for row in tm.rows], tm.domain.dim, ring)
+                [ring.scale(row)[1] for row in tm.rows], tm.domain.dim, ring)
             assert rank == len(pivots)
             assert pivots == field_echelon(tm.rows, tm.domain.dim, order)[0]
 
