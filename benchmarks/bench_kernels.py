@@ -8,9 +8,9 @@ degrees 1, 2 and 3 of both variants (homology, cohomology) for each
 polynomial of `POLYS`, at the bounds the oracle assembles for the default
 schedule's second D: domain bound D + n + 1, codomain bound D + 2(n + 1).
 Over Q the complexes are untwisted; over zeta3 and zeta5 they carry the
-torus twist w = zeta_m.  Each run passes every map to the `eliminate` of
-`gwa.linalg._backend(order)`, the elimination behind every rank (row
-preparation included).  For each field it prints the median of 7 runs,
+torus twist w = zeta_m.  Each run passes every map to
+`gwa.linalg.rank_rows(rows, ncols, order)`, the elimination behind every
+rank (row scaling included).  For each field it prints the median of 7 runs,
 with every sample, the number of maps, their cells and the sum of their
 ranks, which must agree between two code bases for their times to be
 compared.  `--src`, `--label` and `--out` work as in `bench_assembly.py`.
@@ -69,9 +69,8 @@ def main() -> int:
     fields = {}
     for name, order in FIELDS.items():
         maps = assembled_maps(order)
-        eliminate, _ = gwa.linalg._backend(order)
         with calibrate.Gauge() as gauge:
-            runs = [gauge.timed(lambda: sum(eliminate(tm.rows, tm.domain.dim)[0]
+            runs = [gauge.timed(lambda: sum(gwa.linalg.rank_rows(tm.rows, tm.domain.dim, order)
                                             for tm in maps))
                     for _ in range(RUNS)]
         ranks, samples = zip(*runs)

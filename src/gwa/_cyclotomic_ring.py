@@ -5,9 +5,10 @@ bare ints as elements; over Q(zeta_m) of degree d >= 2 it is Z[z]/Phi_m,
 with integer d-tuples.  `ring(order)` builds each once.  The ring is the
 one place that knows this element format: `CyclotomicIntegers.scale` turns
 field scalars into its elements, for every row an elimination or a d o d
-product takes and for `Cyclotomic.inverse`, and `coordinates` reads them
-back as integer rows.  `gwa.linalg` and `Cyclotomic.inverse` import this
-module on first use, not with the package.
+product takes and for `Cyclotomic.inverse`; `combine` is the Bareiss step
+of every elimination, and `axpy` the multiply-add of every d o d product.
+`gwa.linalg` and `Cyclotomic.inverse` import this module on first use, not
+with the package.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ class CyclotomicIntegers:
     """Arithmetic in Z[z]/Phi_m for a cyclotomic polynomial of degree d.
 
     Elements are d-tuples of ints, the coefficients of 1, z, ..., z^(d-1),
-    and bare ints for d = 1, where the ring is Z.  `mul(a, b)` and
-    `combine` are straight-line code, compiled once per ring from Phi_m's
+    and bare ints for d = 1, where the ring is Z.  `mul(a, b)`, `combine`
+    and `axpy` are straight-line code, compiled once per ring from Phi_m's
     coefficients: a generic loop over the coefficients was measured slower
     than the `Cyclotomic` sweep this arithmetic replaces.  For d = 1, `mul`,
     `exact` and `size` are the int operators *, // and abs, and `combine`
-    is the integer Bareiss loop.
+    and `axpy` are plain int loops.
     `cofactor(q)` is the product of the Galois conjugates of q other than q
     itself, so q * cofactor(q) is the norm of q, a rational integer (and
     cofactor(q) = 1 in Z).
@@ -50,8 +51,10 @@ class CyclotomicIntegers:
         self._conjugations = [[powers[i * j % order] for i in range(d)]
                               for j in range(2, order) if gcd(j, order) == 1]
         namespace = {}
-        exec(_ring_source(d, powers), namespace)
-        self.combine = namespace["combine"]
+        # A filename of its own per ring keeps each ring's routines apart in
+        # tracebacks and profiles.
+        exec(compile(_ring_source(d, powers), f"<ring of order {order}>", "exec"), namespace)
+        self.combine, self.axpy = namespace["combine"], namespace["axpy"]
         if d == 1:
             self.zero, self.one = 0, 1
             self.mul, self.exact, self.size = operator.mul, operator.floordiv, abs
@@ -92,13 +95,6 @@ class CyclotomicIntegers:
         return den, [zero if t is zero
                      else tuple(c.numerator * (den // c.denominator) if c else 0 for c in t)
                      for t in coeffs]
-
-    def coordinates(self, elements):
-        """The d integer rows whose row t holds coordinate t of each of
-        `elements`: over Z, `[elements]`."""
-        if self.degree == 1:
-            return [elements]
-        return [[e[t] for e in elements] for t in range(self.degree)]
 
     def exact(self, v, n):
         """v / n for a rational integer n that divides v."""
@@ -168,13 +164,13 @@ def _linear(terms) -> str:
     return " ".join(out).removeprefix("+ ") or "0"
 
 
-def _reduced_product(d, powers, factors):
-    """Source of sum(sign * a * b for (sign, a, b) in factors), the names a
+def _reduced_product(d, powers, terms):
+    """Source of sum(sign * a * b for (sign, a, b) in terms), the names a
     and b standing for elements unpacked into a0..a{d-1}, b0..b{d-1}.
     Returns (lines assigning the coefficients c{k} of z^k, k >= d, of the
-    unreduced product; the d reduced coordinates as expressions)."""
+    unreduced product; the d reduced coefficients as expressions)."""
     def coeff(k):
-        return [(sign, f"{a}{i}*{b}{k - i}") for sign, a, b in factors
+        return [(sign, f"{a}{i}*{b}{k - i}") for sign, a, b in terms
                 for i in range(max(0, k - d + 1), min(k, d - 1) + 1)]
 
     high = range(d, 2 * d - 1)
@@ -185,9 +181,10 @@ def _reduced_product(d, powers, factors):
 
 
 def _ring_source(d, powers) -> str:
-    """Source of `mul(a, b)` and of `combine(row, top, col, ncols, p, f, n)`,
+    """Source of `mul(a, b)`, of `combine(row, top, col, ncols, p, f, n)`,
     which sets row[j] = (p * row[j] - f * top[j]) / n for col <= j < ncols,
-    skipping the cells that are zero in both rows."""
+    skipping the cells that are zero in both rows, and of `axpy(acc, p, b)`,
+    which sets acc[t] += p * x for each (t, x) of the sparse row b."""
     # Elements of Z (d = 1) are bare ints, not 1-tuples.
     def names(prefix):
         return f"{prefix}0" if d == 1 else ", ".join(f"{prefix}{i}" for i in range(d)) + ","
@@ -212,4 +209,13 @@ def _ring_source(d, powers) -> str:
                 f"            if {nonzero}:"]
         src += ["                " + line for line in lines]
         src.append(f"                row[j] = {pack(values)}")
+
+    src += ["def axpy(acc, p, b):", f"    {names('p')} = p", "    for t, x in b:"]
+    if d == 1:
+        src.append("        acc[t] += p0*x")
+    else:
+        lines, coords = _reduced_product(d, powers, [(1, "p", "x")])
+        src += [f"        {names('x')} = x", f"        {names('y')} = acc[t]"]
+        src += ["        " + line for line in lines]
+        src.append(f"        acc[t] = {pack([f'y{i} + ({e})' for i, e in enumerate(coords)])}")
     return "\n".join(src) + "\n"

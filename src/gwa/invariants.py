@@ -286,15 +286,23 @@ class GroupClassData:
 
     @classmethod
     def parse(cls, text: str) -> "GroupClassData":
-        """One class per line: "order=<m> omega=<yes|no>"."""
+        """One class per line: "order=<m> omega=<yes|no>", each field once.
+
+        Any other token, or a field given twice, is an `InputError` naming
+        the line, not a field dropped or overwritten."""
         classes = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = dict(
-                part.split("=", 1) for part in line.split() if "=" in part
-            )
+            fields = {}
+            for part in line.split():
+                key, eq, value = part.partition("=")
+                if not eq:
+                    raise InputError(f"bad class descriptor line {line!r}: {part!r} has no '='")
+                if key in fields:
+                    raise InputError(f"bad class descriptor line {line!r}: {key!r} given twice")
+                fields[key] = value
             if set(fields) != {"order", "omega"}:
                 raise InputError(f"bad class descriptor line {line!r}")
             try:

@@ -2,24 +2,22 @@
 
 A truncated space is a finite sum of copies of k[h] cut off at a degree
 bound; every dimension count in the package reduces to ranks of exact
-matrices between such spaces.  How to compute over a field is decided once
-per field order (`_backend`), and every field takes the same steps over its
-ring of integers (`gwa._cyclotomic_ring.ring`: Z over Q, Z[zeta_m] over
-every other field).  Every rank is computed fraction-free: the ring's one
-scaling routine, `scale`, turns each row into ring elements (bare ints
-over Q, integer coefficient d-tuples over Q(zeta_m) of degree d >= 2), and
-the one Bareiss kernel of `gwa._rankcore_py`, `echelon_cyclo`, eliminates
-them, scaling the rows a stage leaves idle lazily.  The exact d o d = 0
-test (`compose_is_zero`) scales the outer map's rows the same way, each by
-its own integer, and the whole inner matrix by one, and runs on integers:
-each outer entry becomes the d x d integer block of multiplication by it
-(over Q, the entry itself), and each inner entry its d coordinates.  The
-scaling contract: each row, and the inner matrix as a whole, is multiplied
-by a positive integer, the lcm of its coefficient denominators, and no
-`Fraction` is built on the way; so ranks, and whether a product is zero,
-are unchanged.  The oracle's matrices over Q have int cells
-(`gwa.complexes._assemble`), so over Q a row of plain ints is scaled by 1
-and passed on as it is.
+matrices between such spaces.  Every field takes the same steps over its
+ring of integers (`_ring`: Z over Q, Z[zeta_m] over every other field; the
+arithmetic is `gwa._cyclotomic_ring`'s).  Every rank is computed
+fraction-free: the ring's one scaling routine, `scale`, turns each row into
+ring elements (bare ints over Q, integer coefficient d-tuples over
+Q(zeta_m) of degree d >= 2), and the one Bareiss kernel of
+`gwa._rankcore_py`, `echelon_cyclo`, eliminates them, scaling the rows a
+stage leaves idle lazily.  The exact d o d = 0 test (`compose_is_zero`)
+scales the outer map's rows the same way, each by its own integer, and the
+whole inner matrix by one, and multiplies in the same ring, with its
+`axpy`.  The scaling contract: each row, and the inner matrix as a whole,
+is multiplied by a positive integer, the lcm of its coefficient
+denominators, and no `Fraction` is built on the way; so ranks, and whether
+a product is zero, are unchanged.  The oracle's matrices over Q have int
+cells (`gwa.complexes._assemble`), so over Q a row of plain ints is scaled
+by 1 and passed on as it is.
 The oracle runs that test once per call and on small matrices only: the
 inner map at domain degree bound 4 and the outer one at 4 plus the margin.
 Each block of an assembled map shifts by at most one step, so a product
@@ -47,12 +45,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 
 from . import _rankcore_py as _kernels
 from .errors import InputError, InternalConsistencyError, StabilizationError
-from .scalars import Cyclotomic, cyclotomic_coeffs, euler_phi
+from .scalars import Cyclotomic, euler_phi
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,11 @@ class TruncatedMap:
         return cut
 
     def _pivot_columns(self) -> list[int]:
-        """The pivot columns of the field's elimination (`_backend`) of the
-        whole matrix, computed on the first call and kept."""
+        """The pivot columns of the field's elimination (`_eliminate`) of
+        the whole matrix, computed on the first call and kept."""
         if self._pivots is None:
             if self.rows and self.domain.dim:
-                eliminate, _ = _backend(self.field_order)
-                self._pivots = eliminate(self.rows, self.domain.dim)[1]
+                self._pivots = _eliminate(self.rows, self.domain.dim, self.field_order)[1]
             else:
                 self._pivots = []
         return self._pivots
@@ -153,91 +149,42 @@ class TruncatedMap:
         return bisect_left(self._source._pivot_columns(), self.domain.dim)
 
 
-def _field(order: int | None) -> int | None:
-    """The field order to compute in; None for Q, which Q(zeta_1) and
-    Q(zeta_2) are."""
-    return None if order is None or euler_phi(order) == 1 else order
+def _ring(field_order):
+    """The ring of integers every computation over the field of
+    `field_order` runs in (`gwa._cyclotomic_ring.ring`): Z over Q, which
+    Q(zeta_1) and Q(zeta_2) are, and Z[zeta_m] of degree d >= 2 otherwise.
+    The ring's module is imported on the first call, not with the package."""
+    from ._cyclotomic_ring import ring
+
+    return ring(1 if field_order is None or euler_phi(field_order) == 1 else field_order)
 
 
 # Elimination ----------------------------------------------------------------
 
 
-def _block_rows(x, phi):
-    """The d integer rows of multiplication by the entries a_0, ...,
-    a_{n-1} of a row over Z[z]/Phi, Phi = phi ascending and monic of
-    degree d, given by their coordinates: x[t][j] is coordinate t of a_j
-    (the ring's `coordinates`).
+def _eliminate(rows, ncols, field_order):
+    """(rank, pivot_columns, echelon_rows) of the rows, by the Bareiss kernel
+    over the field's ring.
 
-    Entry j becomes the d x d block whose column k holds the coordinates
-    of a_j z^k, in column k * n + j.  Each a_j z^k is a_j z^(k-1) times z,
-    reduced by one step of z^d = -(phi_0 + ... + phi_{d-1} z^(d-1)), for
-    the whole row at once.  For d = 2, Phi = t^2 + b t + c, the block of
-    a0 + a1 z is [[a0, -c a1], [a1, a0 - b a1]].  For d = 1 the block of
-    a is a itself, and x is returned as it is, not copied.
+    Each row is turned into ring elements by the ring's `scale`, times its
+    own positive integer.  The kernel is looked up on `_kernels` at each
+    call, so a wrapper installed there later still sees every call; the call
+    goes through the name `echelon_int` over Z and `echelon_quad` for
+    degree 2, both `echelon_cyclo` again.
     """
-    d = len(phi) - 1
-    if d == 1:
-        return x
-    # x[t][j]: coordinate t of a_j z^k, for k = 0, 1, ... in turn.
-    out = [list(xt) for xt in x]
-    for _ in range(d - 1):
-        top = x[-1]
-        x = [[-phi[0] * v for v in top]] + [
-            [u - p * v for u, v in zip(xt, top)] for xt, p in zip(x, phi[1:d])]
-        for o, xt in zip(out, x):
-            o += xt
-    return out
-
-
-@lru_cache(maxsize=32)
-def _backend(field_order):
-    """How to compute over the field of `field_order`, decided once per order.
-
-    Returns (eliminate, factors).  `eliminate(rows, ncols)` prepares the
-    rows and returns (rank, pivot_columns, echelon_rows).  `factors(outer,
-    inner)` turns the rows of two matrices into integer rows A and B with
-    A B = 0 exactly when outer o inner = 0.  Every field takes the same
-    steps over its ring of integers, `gwa._cyclotomic_ring.ring(order)`
-    (Z over Q, Z[zeta_m] of degree d otherwise), imported on the first
-    elimination, not with the package.  A row is prepared by the ring's
-    `scale`, each row by its own positive integer; the ranks go to the
-    Bareiss kernel; in A each outer entry becomes its d x d block
-    (`_block_rows`), and in B, the inner matrix scaled as one long row,
-    each inner entry its d coordinates (over Z, d = 1: A and B are the
-    scaled rows themselves).  The kernel is looked up on `_kernels` at
-    each call, so a wrapper installed there later still sees every call;
-    the call goes through the name `echelon_int` for d = 1 and
-    `echelon_quad` for d = 2, both `echelon_cyclo` again.
-    """
-    from . import _cyclotomic_ring
-
-    order = _field(field_order) or 1
-    ring = _cyclotomic_ring.ring(order)
-    phi = cyclotomic_coeffs(order)
-    d, scale, coordinates = ring.degree, ring.scale, ring.coordinates
-
-    def eliminate(rows, ncols):
-        rows = [scale(row)[1] for row in rows]
-        if d == 1:
-            return _kernels.echelon_int(rows, ncols)
-        echelon = _kernels.echelon_quad if d == 2 else _kernels.echelon_cyclo
-        return echelon(rows, ncols, ring)
-
-    def factors(outer, inner):
-        blocks = [r for row in outer for r in _block_rows(coordinates(scale(row)[1]), phi)]
-        width = len(inner[0]) if inner else 0
-        coords = coordinates(scale([v for row in inner for v in row])[1])
-        return blocks, [c[i * width:(i + 1) * width] for c in coords for i in range(len(inner))]
-
-    return eliminate, factors
+    ring = _ring(field_order)
+    rows = [ring.scale(row)[1] for row in rows]
+    if ring.degree == 1:
+        return _kernels.echelon_int(rows, ncols)
+    echelon = _kernels.echelon_quad if ring.degree == 2 else _kernels.echelon_cyclo
+    return echelon(rows, ncols, ring)
 
 
 def rank_rows(rows, ncols, field_order=None) -> int:
     """Rank of a matrix given as rows of exact scalars."""
     if not rows or ncols == 0:
         return 0
-    eliminate, _ = _backend(field_order)
-    return eliminate(rows, ncols)[0]
+    return _eliminate(rows, ncols, field_order)[0]
 
 
 def kernel_raw(rows, ncols, field_order=None):
@@ -245,20 +192,18 @@ def kernel_raw(rows, ncols, field_order=None):
 
     Entries are ints over the rationals and `Cyclotomic`s with integer
     coefficients otherwise.  The rows are eliminated as for a rank
-    (`_backend`); each non-pivot column then yields one vector by
+    (`_eliminate`); each non-pivot column then yields one vector by
     back-substitution in the field, through the echelon rows' integer
     cells, with one exact division by each pivot, and is scaled by the
     ring's `scale`.
     """
-    from ._cyclotomic_ring import ring
-
-    order = _field(field_order)
-    eliminate, _ = _backend(order)
-    _, pivots, ech = eliminate(rows, ncols)
-    if order is None:
+    ring = _ring(field_order)
+    _, pivots, ech = _eliminate(rows, ncols, field_order)
+    if ring.degree == 1:
         # Z's elements, ints, are scalars of Q as they are.
         zero, one, element = Fraction(0), Fraction(1), int
     else:
+        order = ring.order
         zero, one = Cyclotomic.from_rational(order, 0), Cyclotomic.from_rational(order, 1)
 
         def element(t):
@@ -280,7 +225,7 @@ def kernel_raw(rows, ncols, field_order=None):
                     if row[j] and v[j]:
                         acc = acc + row[j] * v[j]
                 v[p] = -acc * inv
-        basis.append([element(e) for e in ring(order or 1).scale(v)[1]])
+        basis.append([element(e) for e in ring.scale(v)[1]])
     return basis
 
 
@@ -366,7 +311,7 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
     bound 4; see `gwa.complexes._check_d_squared`).  Then
     a boundary of degree <= dp's domain bound lies in ker(dp), so
     ker(dp) meet im(N) = im(N) meet L, with N = dnext's matrix and L the
-    coordinates of dp's domain, the lowest ones in degree-major order.  And
+    span of dp's domain's basis vectors, the lowest in degree-major order.  And
     dim(im(N) meet L) = rank(N) - rank(N_top), where N_top is N's rows above
     L.  So the value is nullity(dp) - rank(N) + rank(N_top), with no kernel
     basis.  Without the precondition it can undercount.
@@ -386,26 +331,27 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
 
 
 def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
-    """Exact check that outer o inner = 0.
+    """Exact check that outer o inner = 0, multiplied in the field's ring.
 
-    The field's backend turns outer's rows and inner's matrix into integer
-    rows A and B with A B = 0 exactly when the product is zero; see the
-    scaling contract in the module docstring.  Each row of A B is
-    accumulated from the rows of B at the nonzeros of a row of A, so only
-    structural nonzeros are multiplied.
+    Each row of outer is scaled by the ring's `scale`, and the whole inner
+    matrix, as one long row, by one positive integer; see the scaling
+    contract in the module docstring.  Each row of the product is then
+    accumulated by the ring's `axpy` from the rows of inner at the nonzeros
+    of a row of outer, so only structural nonzeros are multiplied.
     """
     if inner.codomain.dim != outer.domain.dim:
         raise InputError("composition shape mismatch")
-    _, factors = _backend(outer.field_order or inner.field_order)
-    a_rows, b_rows = factors(outer.rows, inner.rows)
-    b_sparse = [[(t, v) for t, v in enumerate(row) if v] for row in b_rows]
+    ring = _ring(outer.field_order or inner.field_order)
+    axpy, zero, scale = ring.axpy, ring.zero, ring.scale
     width = inner.domain.dim
-    for row in a_rows:
-        acc = [0] * width
-        for j, c in enumerate(row):
-            if c:
-                for t, v in b_sparse[j]:
-                    acc[t] += c * v
-        if any(acc):
+    flat = scale([v for row in inner.rows for v in row])[1]
+    inner_sparse = [[(t, x) for t, x in enumerate(flat[i * width:(i + 1) * width])
+                     if x != zero] for i in range(len(inner.rows))]
+    for row in outer.rows:
+        acc = [zero] * width
+        for p, b in zip(scale(row)[1], inner_sparse):
+            if p != zero:
+                axpy(acc, p, b)
+        if acc.count(zero) != width:
             return False
     return True

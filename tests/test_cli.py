@@ -410,6 +410,22 @@ def test_sweep_line_with_classes_and_classes_file_is_an_input_error(tmp_path):
     assert record["error"].endswith("not allowed with argument --classes")
 
 
+@pytest.mark.parametrize("classes, problem", [
+    ("order=2 omega=no extra", "'extra' has no '='"),
+    ("order=2 order=3 omega=no", "'order' given twice"),
+], ids=["token-without-equals", "repeated-key"])
+def test_malformed_class_line_is_an_input_error(capsys, classes, problem):
+    """A class line is read whole: a stray token or a repeated key is
+    refused with the line named, not dropped or overwritten."""
+    argv = ["group", "--a", "h^2-2", "--classes", classes]
+    message = f"bad class descriptor line {classes!r}: {problem}"
+    code, out, err = run_main(capsys, argv)
+    assert (code, out, err) == (EXIT_INVALID_INPUT, "", f"error: {message}\n")
+    record = sweep_job(" ".join(repr(arg) for arg in argv))
+    assert record["exit_code"] == EXIT_INVALID_INPUT and "report" not in record
+    assert record["error"].endswith(message)
+
+
 @pytest.mark.parametrize("make", [
     lambda path: None,
     lambda path: path.mkdir(),

@@ -14,7 +14,6 @@ from gwa.linalg import (
     Schedule,
     TruncatedMap,
     TruncatedSpace,
-    _block_rows,
     _kernels,
     compose_is_zero,
     homology_dim_at,
@@ -507,34 +506,6 @@ def test_compose_is_zero_matches_the_field_product(order):
         assert not compose_is_zero(one, _as_map([[zeta(order)]], 1, order))
 
 
-@pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12, 105])
-def test_block_times_coordinates_is_the_field_product(order):
-    """The d x d block of a (`_block_rows` of the row [a], given by its
-    coordinates) times the coordinates of x gives the coordinates of the
-    field product a x, and a longer row puts entry j's column k at
-    k * len(row) + j.  Phi_105 has a coefficient -2, so a reduction step
-    that takes Phi's coefficients for signs alone shows here."""
-    phi = cyclotomic_coeffs(order)
-    d = len(phi) - 1
-    rng = random.Random(order)
-
-    def coordinates(row):
-        return [[a[t] for a in row] for t in range(d)]
-
-    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-    entries = units + [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(20)]
-    blocks = [_block_rows(coordinates([a]), phi) for a in entries]
-    for a, block in zip(entries, blocks):
-        assert len(block) == d and all(len(r) == d for r in block)
-        for x in units + [[rng.randint(-9, 9) for _ in range(d)] for _ in range(3)]:
-            got = [sum(b * xk for b, xk in zip(r, x)) for r in block]
-            assert got == list((Cyclotomic(order, a) * Cyclotomic(order, x)).coeffs)
-    n = len(entries)
-    side_by_side = _block_rows(coordinates(entries), phi)
-    assert all(side_by_side[t][k * n + j] == blocks[j][t][k]
-               for t in range(d) for k in range(d) for j in range(n))
-
-
 def echelon_int_reference(rows, ncols):
     """Integer Bareiss that updates every cell from the pivot column on."""
     m = [list(r) for r in rows]
@@ -779,13 +750,15 @@ def test_echelon_quad_matches_reference(suite, order):
 # Z[zeta_m] and its Bareiss kernel --------------------------------------------
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 5, 7, 8, 9, 12, 61])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 5, 7, 8, 9, 12, 61, 105])
 def test_cyclotomic_integers_match_the_field(order):
     """The compiled product is `Cyclotomic.__mul__`, q times its cofactor is
-    a nonzero rational integer (`norm`), and `combine` is the Bareiss step
-    (p x - f y) / n, on integer coefficient tuples.  Over Z, the ring of
-    orders 1 and 2, the elements are bare ints, the cofactor is 1 and
-    norm(q, 1) = q."""
+    a nonzero rational integer (`norm`), `combine` is the Bareiss step
+    (p x - f y) / n and `axpy` the multiply-add acc + p x, on integer
+    coefficient tuples.  Over Z, the ring of orders 1 and 2, the elements
+    are bare ints, the cofactor is 1 and norm(q, 1) = q.  Phi_105 has a
+    coefficient -2, so a reduction that takes Phi's coefficients for signs
+    alone shows there."""
     ring = _ring(order)
     d = euler_phi(order)
     assert ring.degree == d
@@ -821,6 +794,15 @@ def test_cyclotomic_integers_match_the_field(order):
             row = [scaled(x, n)]
             ring.combine(row, [scaled(y, n)], 0, 1, p, f, n)
             assert row == [t]
+        acc = [f, y, ring.zero]
+        ring.axpy(acc, p, [(0, x), (2, y)])
+        assert acc == [coords(field(f) + field(p) * field(x)), y, coords(field(p) * field(y))]
+
+
+def test_each_ring_compiles_under_its_own_filename():
+    """Profiles and tracebacks tell the routines of two rings apart."""
+    assert _ring(3).combine.__code__.co_filename != _ring(4).combine.__code__.co_filename
+    assert _ring(3).axpy.__code__.co_filename == _ring(3).combine.__code__.co_filename
 
 
 def test_a_wrong_cofactor_raises(monkeypatch):
