@@ -321,8 +321,9 @@ def _add_schedule(parser) -> None:
 
 
 def _add_output(parser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--csv", action="store_true", help="emit CSV rows")
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit a JSON report")
+    output.add_argument("--csv", action="store_true", help="emit CSV rows")
 
 
 def build_parser() -> argparse.ArgumentParser:

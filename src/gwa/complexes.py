@@ -435,9 +435,10 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     return TruncatedMap(dom_space, cod_space, rows)
 
 
-def _check_d_squared(kind: ComplexKind, count: int, map_out, margin: int) -> None:
-    """Exact d o d = 0 between the maps out of consecutive degrees < count,
-    certified once for every truncation bound.
+def _check_d_squared(kind: ComplexKind, pairs, map_out, margin: int) -> None:
+    """Exact d o d = 0 for each pair (q, source) of `pairs`: the map out of
+    q after the map out of source, certified once for every truncation
+    bound.
 
     `map_out(q, b_dom)` is the map out of degree q at bounds
     (b_dom, b_dom + margin).  Each product takes the inner map at domain
@@ -454,11 +455,11 @@ def _check_d_squared(kind: ComplexKind, count: int, map_out, margin: int) -> Non
     not seen.  The first nonzero product raises `InternalConsistencyError`.
     """
     bound = D_SQUARED_BOUND
-    for q in range(count - 1):
-        outer, inner = (q, q + 1) if kind.variant == "homology" else (q + 1, q)
-        if not compose_is_zero(map_out(outer, bound + margin), map_out(inner, bound)):
+    for q, source in pairs:
+        if not compose_is_zero(map_out(q, bound + margin), map_out(source, bound)):
             raise InternalConsistencyError(
-                f"d o d != 0 at degree {q} ({kind.variant}, twist={kind.twist})"
+                f"d o d != 0 at the maps out of {source} and {q} "
+                f"({kind.variant}, twist={kind.twist})"
             )
 
 
@@ -502,7 +503,8 @@ def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
     """Stabilized (co)homology dimensions in degrees 0..p_max.
 
     The complex is that of the total differentials out of degrees
-    0..p_max+1, assembled on the integral normal form of `spec`; see
+    0..p_max+1 in homology and -1..p_max in cohomology (the map out of -1
+    has no columns), assembled on the integral normal form of `spec`; see
     `_stabilized_homology` for how each D is evaluated.  A call that
     stabilizes at its second D assembles each of these degrees once.
     """
@@ -512,7 +514,7 @@ def oracle_dims(spec: GWASpec, kind: ComplexKind, p_max: int = 5,
     return _stabilized_homology(
         kind,
         lambda q, b_dom, b_cod: assemble_total_matrix(spec, kind, q, b_dom, b_cod),
-        p_max + 2, p_max + 1, schedule, spec.n + 1)
+        p_max + 1, schedule, spec.n + 1)
 
 
 def row_homology_dims(spec: GWASpec, kind: ComplexKind,
@@ -520,7 +522,8 @@ def row_homology_dims(spec: GWASpec, kind: ComplexKind,
     """Stabilized row (E1-level) dimensions at the four wedge positions.
 
     The complex is that of the row differentials out of wedge degrees
-    0..3, assembled on the integral normal form and evaluated as in
+    0..4 in homology and -1..3 in cohomology (those out of 4 and -1 have no
+    columns), assembled on the integral normal form and evaluated as in
     `oracle_dims` (see `_stabilized_homology`).
 
     Positions follow the tensor-factor indexing of the row complexes: for the
@@ -534,18 +537,25 @@ def row_homology_dims(spec: GWASpec, kind: ComplexKind,
     dims = _stabilized_homology(
         kind,
         lambda k, b_dom, b_cod: _assemble_single_row(spec, kind, k, b_dom, b_cod),
-        4, 4, schedule, spec.n + 1)
+        4, schedule, spec.n + 1)
     return dims if kind.variant == "homology" else dims[::-1]
 
 
-def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
+def _stabilized_homology(kind: ComplexKind, assemble, reported: int,
                          schedule: Schedule, margin: int) -> list[StabilizedDim]:
     """Stabilized (co)homology in degrees 0..reported-1 of the complex whose
-    map out of degree q < count is `assemble(q, b_dom, b_cod)`.
+    map out of degree q is `assemble(q, b_dom, b_cod)`.
+
+    The value in degree q reads the pair (q, source): the maps out of q and
+    out of source, the degree whose map lands in q (q+1 in homology, q-1 in
+    cohomology).  One list of these pairs drives the evaluation and the
+    d o d check.  A source with no components (degree -1 in cohomology,
+    wedge degree 4 of the rows in homology) is assembled like any other
+    degree, into a map with no columns, so it gives no boundaries.
 
     At each truncation bound D the value in degree q is `homology_dim_at`
-    of the map out of degree q (domain bound D, with margin on the codomain
-    so kernels are genuine) and the map into degree q on a larger domain:
+    of the map out of q (domain bound D, with margin on the codomain so
+    kernels are genuine) and the map out of its source on a larger domain:
     the nullity of the first, less the rank of the second, plus the rank of
     its rows above degree D.  The schedule raises D until the whole
     dimension vector repeats.
@@ -555,17 +565,14 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     degree is assembled once, at the bounds that the schedule's next D
     needs, and every matrix an evaluation uses is sliced from that assembly
     by `TruncatedMap.truncate`, which checks exactly that the cut drops only
-    zeros.  Every D slices only the maps that `homology_dim_at` reads:
-    those out of the reported degrees, and the incoming maps out of q+1
-    (homology) or q-1 (cohomology).  A degree is assembled again only when
-    such a slice outgrows it.
+    zeros.  A degree is assembled again only when a slice outgrows it.
 
     The d o d = 0 check, which `homology_dim_at` relies on, runs once per
-    call, before the first `homology_dim_at`, at the small bound
-    `D_SQUARED_BOUND` that certifies it for every D (`_check_d_squared`).
-    Its maps are slices of the first D's assemblies.  A degree is assembled
-    at the certificate's bounds only if no D reads it (the map out of
-    p_max+1 in cohomology), or if its first assembly is smaller than them.
+    call, before the first `homology_dim_at`, on the same pairs, at the
+    small bound `D_SQUARED_BOUND` that certifies it for every D
+    (`_check_d_squared`).  Its maps are slices of the first D's assemblies;
+    a degree is assembled at the certificate's bounds only if its first
+    assembly is smaller than them.
 
     The check also makes the rank of each slice the number of the
     assembly's pivot columns inside the slice's columns.  So each assembly
@@ -574,6 +581,8 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
     are pivot counts.  Only the ranks of N_top take an elimination per D.
     """
     assembled: dict[int, TruncatedMap] = {}
+    step = 1 if kind.variant == "homology" else -1
+    pairs = [(q, q + step) for q in range(reported)]
     checked = False
 
     def sliced(q: int, b_dom: int, reach: int) -> TruncatedMap:
@@ -583,39 +592,22 @@ def _stabilized_homology(kind: ComplexKind, assemble, count: int, reported: int,
             assembled[q] = big
         return big.truncate(b_dom, b_dom + margin)
 
-    # Boundaries into degree q come out of degree q+1 in homology and q-1
-    # in cohomology; past either end there are none.
-    step = 1 if kind.variant == "homology" else -1
-    sources = [q + step if 0 <= q + step < count else None for q in range(reported)]
-    in_degrees = [s for s in sources if s is not None]
-
     def evaluate(d: int):
         nonlocal checked
         reach = schedule.lookahead(d)
-        outgoing = {q: sliced(q, d, reach) for q in range(reported)}
-        incoming = {q: sliced(q, d + margin, reach) for q in in_degrees}
+        maps = [(sliced(q, d, reach), sliced(source, d + margin, reach))
+                for q, source in pairs]
         if not checked:
-            _check_d_squared(kind, count,
+            _check_d_squared(kind, pairs,
                              lambda q, b_dom: sliced(q, b_dom, D_SQUARED_BOUND), margin)
             checked = True
-        dims = []
-        for q, source in enumerate(sources):
-            boundary = (incoming[source] if source is not None
-                        else _empty_into(outgoing[q].domain))
-            dims.append(homology_dim_at(outgoing[q], boundary))
-        return tuple(dims)
+        return tuple(homology_dim_at(out, into) for out, into in maps)
 
     values, at, history = stabilize(evaluate, schedule)
     return [
         StabilizedDim(v, at, tuple((dd, vals[q]) for dd, vals in history))
         for q, v in enumerate(values)
     ]
-
-
-def _empty_into(cod: TruncatedSpace) -> TruncatedMap:
-    """The map into `cod` from the zero space: no boundaries."""
-    dom = TruncatedSpace(cod.field_order, 0, 0)
-    return TruncatedMap(dom, cod, [[] for _ in range(cod.dim)])
 
 
 # Diagnostics beyond the dimension tables ------------------------------------

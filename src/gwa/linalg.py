@@ -18,10 +18,11 @@ denominators, and no `Fraction` is built on the way; so ranks, and whether
 a product is zero, are unchanged.  The oracle's matrices over Q have int
 cells (`gwa.complexes._assemble`), so over Q a row of plain ints is scaled
 by 1 and passed on as it is.
-The oracle runs that test once per call and on small matrices only: the
-inner map at domain degree bound 4 and the outer one at 4 plus the margin.
-Each block of an assembled map shifts by at most one step, so a product
-that kills the columns of degree <= 4 is zero at every bound
+The oracle runs that test once per call, on exactly the pairs of maps that
+its `homology_dim_at` calls read, and on small matrices only: the inner map
+at domain degree bound 4 and the outer one at 4 plus the margin.  Each
+block of an assembled map shifts by at most one step, so a product that
+kills the columns of degree <= 4 is zero at every bound
 (`gwa.complexes._check_d_squared` states the lemma and its limits).
 The Bareiss kernel is the only elimination in the package: the null-space
 basis of `kernel_raw` is back-substituted in its echelon rows.
@@ -306,9 +307,11 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
     """dim ker(dp) - dim(ker(dp) meet im(dnext)), from three ranks.
 
     Precondition: dp o dnext = 0 on every vector that dnext maps into dp's
-    domain.  The oracle certifies d o d = 0 exactly, once per call and for
-    every bound, before its first call here (`compose_is_zero` at degree
-    bound 4; see `gwa.complexes._check_d_squared`).  Then
+    domain.  The oracle certifies d o d = 0 exactly for this pair of maps,
+    once per call and for every bound, before its first call here
+    (`compose_is_zero` at degree bound 4; see
+    `gwa.complexes._check_d_squared`).  A dnext with no columns, out of a
+    degree with no components, gives no boundaries.  Then
     a boundary of degree <= dp's domain bound lies in ker(dp), so
     ker(dp) meet im(N) = im(N) meet L, with N = dnext's matrix and L the
     span of dp's domain's basis vectors, the lowest in degree-major order.  And

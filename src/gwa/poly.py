@@ -258,7 +258,8 @@ def cyclotomic_polynomial(m: int) -> Poly:
 
 _TERM_RE = re.compile(
     r"""^\s*
-    (?P<coeff>[+-]?\s*\d+(?:\s*/\s*\d+)?|[+-])?   # rational coefficient or bare sign
+    # A rational coefficient, or a bare sign, which only a variable may follow.
+    (?P<coeff>[+-]?\s*\d+(?:\s*/\s*\d+)?|[+-](?=\s*\*?\s*[A-Za-z]))?
     (?:
         (?P<star>\s*\*\s*)?
         (?P<var>[A-Za-z])

@@ -68,6 +68,9 @@ def test_group_command(capsys):
 def test_exit_codes(capsys):
     code, _, err = run_main(capsys, ["hh", "--a", "oops!!", "--h0", "1"])
     assert code == EXIT_INVALID_INPUT and "error" in err
+    # A trailing bare sign is a term with nothing in it, not -1.
+    code, _, err = run_main(capsys, ["hh", "--a", "h^2+1-", "--h0", "1"])
+    assert code == EXIT_INVALID_INPUT and "cannot parse polynomial term '-'" in err
     code, _, err = run_main(capsys, ["hh", "--a", "5", "--h0", "1"])
     assert code == EXIT_HYPOTHESIS
     code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "0"])
@@ -385,6 +388,20 @@ def test_negative_p_max_is_an_input_error(capsys, argv):
     record = sweep_job(" ".join(repr(arg) for arg in argv))
     assert record["exit_code"] == EXIT_INVALID_INPUT
     assert "--p-max" in record["error"] and "report" not in record
+
+
+def test_json_and_csv_together_are_refused(capsys):
+    """A report has one format; naming both would drop the CSV silently,
+    so argparse refuses the pair, on the command line and on a sweep line."""
+    argv = ["hh", "--a", "h", "--formula-only", "--json", "--csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.endswith(
+        "error: argument --csv: not allowed with argument --json\n")
+    record = sweep_job(" ".join(argv))
+    assert record["exit_code"] == EXIT_INVALID_INPUT and "report" not in record
+    assert record["error"].endswith("not allowed with argument --json")
 
 
 def _both_class_sources(tmp_path):

@@ -169,16 +169,30 @@ def _product_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
     return True
 
 
-def _full_size_d_squared_is_zero(spec, kind, p_max):
-    """The reference: d o d = 0 on the full matrices of the default
-    schedule's first D, the inner maps at bounds (D, D + m) and the outer
-    ones at (D + m, D + 2m), on the integral normal form, for the maps out
-    of degrees 0..p_max+1."""
+def _oracle_pairs(kind, p_max):
+    """The (q, source) pairs that the oracle's dimensions in degrees
+    0..p_max read: the map out of q and the one into q, out of q+1 in
+    homology and q-1 in cohomology."""
+    step = 1 if kind.variant == "homology" else -1
+    return [(q, q + step) for q in range(p_max + 1)]
+
+
+def _complex_pairs(kind, p_max):
+    """The (outer, inner) pairs of consecutive maps out of degrees
+    0..p_max+1."""
+    return [(q, q + 1) if kind.variant == "homology" else (q + 1, q)
+            for q in range(p_max + 1)]
+
+
+def _full_size_d_squared_is_zero(spec, kind, pairs):
+    """The reference: d o d = 0 for each (outer, inner) pair of degrees, on
+    the full matrices of the default schedule's first D, the inner maps at
+    bounds (D, D + m) and the outer ones at (D + m, D + 2m), on the integral
+    normal form."""
     normal, _ = integral_normal_form(spec)
     d, m = Schedule.default(spec.n).start, spec.n + 1
     assemble = gwa.complexes.assemble_total_matrix  # as the oracle looks it up
-    for q in range(p_max + 1):
-        outer, inner = (q, q + 1) if kind.variant == "homology" else (q + 1, q)
+    for outer, inner in pairs:
         if not _product_is_zero(assemble(normal, kind, outer, d + m, d + 2 * m),
                                 assemble(normal, kind, inner, d, d + m)):
             return False
@@ -189,13 +203,16 @@ def _full_size_d_squared_is_zero(spec, kind, p_max):
                          ids=["Q", "w=-1", "zeta3", "zeta5"])
 def test_full_size_d_squared_is_zero_at_the_first_d(suite, w, n_max):
     """The product that the certificate at degree bound 4 replaced, on the
-    full matrices of the first D, is still zero.  (The certificate itself
-    runs on these polynomials in every oracle test and criterion.)"""
+    full matrices of the first D, is still zero, for the maps out of
+    degrees 0..3, one degree past those the oracle reads in cohomology.
+    (The certificate itself runs on these polynomials in every oracle test
+    and criterion.)"""
     for variant in ("homology", "cohomology"):
         kind = ComplexKind(variant, None if w is None else Torus(w))
         for spec in suite:
             if spec.n <= n_max:
-                assert _full_size_d_squared_is_zero(spec, kind, 2), (spec.a, variant)
+                pairs = _complex_pairs(kind, 2)
+                assert _full_size_d_squared_is_zero(spec, kind, pairs), (spec.a, variant)
 
 
 class _Certified(Exception):
@@ -203,9 +220,10 @@ class _Certified(Exception):
 
 
 def _faulted_block_runs(monkeypatch, spec, kind, p_max):
-    """For each block of the maps out of degrees 0..p_max+1, in fill order:
-    whether the oracle's certificate and the full-size reference each pass
-    when that one block is filled with its shift c replaced by c + 1."""
+    """For each block of the maps that the oracle reads, in fill order:
+    whether the oracle's certificate and the full-size reference, on the
+    oracle's pairs, each pass when that one block is filled with its shift
+    c replaced by c + 1."""
     real_assemble, real_fill = gwa.complexes.assemble_total_matrix, gwa.complexes._fill_block
     state = {"target": None}
 
@@ -225,8 +243,9 @@ def _faulted_block_runs(monkeypatch, spec, kind, p_max):
     monkeypatch.setattr(gwa.complexes, "assemble_total_matrix", assemble)
     monkeypatch.setattr(gwa.complexes, "_fill_block", fill)
     monkeypatch.setattr(gwa.complexes, "homology_dim_at", certified)
+    pairs = _oracle_pairs(kind, p_max)
     targets = []
-    for p in range(p_max + 2):
+    for p in sorted({q for pair in pairs for q in pair}):
         assemble(spec, kind, p, 0, spec.n + 1)
         targets += [(p, j) for j in range(state["block"][1])]
     runs = {}
@@ -238,7 +257,7 @@ def _faulted_block_runs(monkeypatch, spec, kind, p_max):
         except InternalConsistencyError as exc:
             assert "d o d" in str(exc)
             passed = False
-        runs[state["target"]] = (passed, _full_size_d_squared_is_zero(spec, kind, p_max))
+        runs[state["target"]] = (passed, _full_size_d_squared_is_zero(spec, kind, pairs))
     return runs
 
 
@@ -246,8 +265,9 @@ def _faulted_block_runs(monkeypatch, spec, kind, p_max):
 def test_certificate_misses_no_block_fault_the_full_size_check_catches(monkeypatch, kind):
     """A wrong shift in one block of `_fill_block` bypasses the `_assemble`
     guard and breaks the lemma's hypothesis.  On h^3 - h at p_max 2, over
-    every block of every degree, the certificate catches exactly the faults
-    that the full-size product at the first D catches."""
+    every block of every degree the oracle reads, the certificate catches
+    exactly the faults that the full-size products of the same pairs at the
+    first D catch."""
     spec = GWASpec(Poly([0, -1, 0, 1]), ShiftSigma(1))
     runs = _faulted_block_runs(monkeypatch, spec, kind, 2)
     caught = [block for block, (passed, _) in runs.items() if not passed]
@@ -337,6 +357,41 @@ def test_d_squared_runs_once_at_the_certificate_bounds(monkeypatch, kind, schedu
     assert "dim" not in events[:first] and set(events[first:]) == {"dim"}
 
 
+@pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
+@pytest.mark.parametrize("assembly, run", [
+    ("assemble_total_matrix", lambda kind: oracle_dims(CUBIC, kind, 3)),
+    ("_assemble_single_row", lambda kind: row_homology_dims(CUBIC, kind)),
+], ids=["total", "rows"])
+def test_certificate_multiplies_the_pairs_the_dimensions_read(monkeypatch, kind, assembly, run):
+    """Each `compose_is_zero` of a run multiplies the two maps that one
+    `homology_dim_at` reads, degree q's and its source's, and every such
+    pair is multiplied once.  No map is assembled that no dimension reads.
+    Both runs report four degrees: p_max 3, and the four wedge positions."""
+    degree, checked, read = {}, [], []
+    real_assemble = getattr(gwa.complexes, assembly)
+    real_check, real_dim = gwa.complexes.compose_is_zero, gwa.complexes.homology_dim_at
+
+    def assemble(spec, kind, p, b_dom, b_cod):
+        out = real_assemble(spec, kind, p, b_dom, b_cod)
+        degree[id(out)] = (p, out)  # the map is kept, so its id is not reused
+        return out
+
+    def degrees(outer, inner):
+        return tuple(degree[id(f._source or f)][0] for f in (outer, inner))
+
+    monkeypatch.setattr(gwa.complexes, assembly, assemble)
+    monkeypatch.setattr(gwa.complexes, "compose_is_zero",
+                        lambda outer, inner: checked.append(degrees(outer, inner))
+                        or real_check(outer, inner))
+    monkeypatch.setattr(gwa.complexes, "homology_dim_at",
+                        lambda dp, dnext: read.append(degrees(dp, dnext))
+                        or real_dim(dp, dnext))
+    run(kind)
+    assert checked == read[:4] == _oracle_pairs(kind, 3)
+    assert set(read) == set(checked)
+    assert sorted(p for p, _ in degree.values()) == sorted({q for pair in checked for q in pair})
+
+
 @pytest.mark.parametrize("w", [None, Fraction(-1), zeta(3), zeta(4), zeta(5)],
                          ids=["Q", "w=-1", "zeta3", "zeta4", "zeta5"])
 def test_sliced_differentials_equal_fresh_assembly(suite, w):
@@ -390,14 +445,13 @@ def test_oracle_assembles_each_degree_once(monkeypatch, kind):
     p_max = 2
     stabs = oracle_dims(CUBIC, kind, p_max)
     assert [d for d, _ in stabs[0].history] == [12, 16]
-    assert sorted(p for p, _, _ in calls) == list(range(p_max + 2))
+    # Cohomology reads the maps out of -1..p_max (the one out of -1 has no
+    # columns) and assembles none out of p_max+1.
+    degrees = range(p_max + 2) if kind is HOMOLOGY else range(-1, p_max + 1)
+    assert sorted(p for p, _, _ in calls) == list(degrees)
     m = CUBIC.n + 1
-    want = {p: (16 + m, 16 + 2 * m) for p in range(p_max + 2)}
-    if kind is COHOMOLOGY:
-        # No D reads the map out of p_max+1: only the d o d certificate
-        # does, at its own bounds.
-        want[p_max + 1] = (D_SQUARED_BOUND + m, D_SQUARED_BOUND + 2 * m)
-    assert {p: (b_dom, b_cod) for p, b_dom, b_cod in calls} == want
+    assert {p: (b_dom, b_cod) for p, b_dom, b_cod in calls} == {
+        p: (16 + m, 16 + 2 * m) for p in degrees}
     assert len(checks) == p_max + 1  # d o d = 0, once per degree, at the first D only
 
 
@@ -405,7 +459,7 @@ def test_oracle_reassembles_when_the_schedule_goes_on(monkeypatch):
     """At D = 20 the incoming maps outgrow the first assembly (bounds
     16 + 4 = 20) and the outgoing ones still fit it.  So only degrees with
     an incoming map that is read are assembled again: 1..3 in homology,
-    0..1 in cohomology (boundaries into degree q come out of q-1)."""
+    -1..1 in cohomology (boundaries into degree q come out of q-1)."""
     calls = _count_assemblies(monkeypatch)
     p_max = 2
     stabs = oracle_dims(CUBIC, HOMOLOGY, p_max, Schedule(start=12, window=3))
@@ -418,8 +472,8 @@ def test_oracle_reassembles_when_the_schedule_goes_on(monkeypatch):
     stabs = oracle_dims(CUBIC, COHOMOLOGY, p_max, Schedule(start=12, window=3))
     assert [d for d, _ in stabs[0].history] == [12, 16, 20]
     assert dims(stabs) == coh_dims(CUBIC.a, CUBIC.sigma, p_max).dims
-    assert sorted(p for p, b_dom, _ in calls if b_dom > 20) == [0, 1]
-    assert len(calls) == (p_max + 2) + 2
+    assert sorted(p for p, b_dom, _ in calls if b_dom > 20) == [-1, 0, 1]
+    assert len(calls) == (p_max + 2) + 3
 
 
 @pytest.mark.parametrize("kind, window, ranked_assemblies",
@@ -433,10 +487,10 @@ def test_oracle_eliminates_each_ranked_assembly_once(monkeypatch, kind, window,
 
     With p_max 2 the ranked assemblies are those of degrees 1..3 in
     homology (the map out of degree 0 has no rows) and 0..2 in cohomology
-    (the map out of degree 3 only enters the d o d check).  At a third D,
-    20, the outgoing maps still fit the first assembly (16 + n + 1 = 20 for
-    the cubic), and the incoming maps that are read are assembled again
-    and ranked: three more in homology, two in cohomology.
+    (the map out of degree -1 has no columns).  At a third D, 20, the
+    outgoing maps still fit the first assembly (16 + n + 1 = 20 for the
+    cubic), and the incoming maps that are read are assembled again and
+    ranked: three more in homology, two in cohomology.
     """
     ranked = {}
     n_top = []
@@ -514,7 +568,9 @@ def test_oracle_examples():
 
 def test_row_homology_assembles_each_wedge_degree_once(monkeypatch):
     """The rows take the same certificate: d o d = 0 on slices at domain
-    bounds 4 + m and 4 of the first D's assemblies."""
+    bounds 4 + m and 4 of the first D's assemblies, for the four pairs the
+    dimensions read.  The map out of wedge degree 4, which has no columns,
+    is the one into wedge degree 3."""
     calls, checks = [], []
     real, real_check = gwa.complexes._assemble_single_row, gwa.complexes.compose_is_zero
 
@@ -531,8 +587,8 @@ def test_row_homology_assembles_each_wedge_degree_once(monkeypatch):
     stabs = row_homology_dims(CUBIC, HOMOLOGY)
     assert [d for d, _ in stabs[0].history] == [12, 16]
     m = CUBIC.n + 1
-    assert sorted(calls) == [(k, 16 + m, 16 + 2 * m) for k in range(4)]
-    assert checks == [(D_SQUARED_BOUND + m, D_SQUARED_BOUND)] * 3
+    assert sorted(calls) == [(k, 16 + m, 16 + 2 * m) for k in range(5)]
+    assert checks == [(D_SQUARED_BOUND + m, D_SQUARED_BOUND)] * 4
 
 
 def test_oracle_rejects_a_broken_map(monkeypatch):

@@ -80,7 +80,9 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "x^2", "h^^2", "[1, oops]", "h**2"):
+    for text in ("", "x^2", "h^^2", "[1, oops]", "h**2",
+                 # A bare sign is a term with nothing after it, not 1 or -1.
+                 "h^2+1-", "h^2 - - 1", "h^2 +", "+", "-"):
         with pytest.raises(InputError):
             parse_poly(text)
 
