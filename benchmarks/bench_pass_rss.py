@@ -15,20 +15,19 @@ timed run with a fresh import of the package at every set-up, it counts
 one import and no timing harness.  It runs 5 children one after another
 and reports every value and their median.  With `--out`, the result is
 also stored in that JSON file under `--label`, beside a description of the
-machine (`bench_assembly.machine`); other labels already in the file are
-kept.
+machine; other labels already in the file are kept.  The options `--src`,
+`--label` and `--out` and the output are those of `bench_assembly`
+(`bench_assembly.arguments` and `bench_assembly.report`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-from bench_assembly import machine
+from bench_assembly import arguments, report
 
 ORACLEBENCH = Path(__file__).resolve().parent.parent / "oraclebench"
 WORKLOADS = ("rational", "quadratic", "quartic")
@@ -57,12 +56,9 @@ def child_rss_mib(src: Path, workload: str, seed: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="directory holding the gwa package")
+    parser = arguments(__doc__)
     parser.add_argument("--workload", choices=WORKLOADS, default="rational")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--label", default="run")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     src = Path(args.src).resolve()
     if not (src / "gwa" / "__init__.py").is_file():
@@ -75,12 +71,7 @@ def main() -> int:
     print(f"{args.workload} seed {args.seed}: one pass peaks at "
           f"{result['pass_rss_mib']:.2f} MiB (median of {len(samples)} fresh processes)",
           file=sys.stderr)
-    print(json.dumps(result))
-    if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data["machine"] = machine()
-        data.setdefault("results", {})[args.label] = result
-        args.out.write_text(json.dumps(data, indent=2) + "\n")
+    report(result, args.out, args.label)
     return 0
 
 

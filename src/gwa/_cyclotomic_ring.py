@@ -1,14 +1,17 @@
-"""Arithmetic in Z[zeta_m], the ring every Bareiss elimination runs in.
+"""Arithmetic in Z[zeta_m], the ring every Bareiss elimination and every
+cyclotomic product runs in.
 
 Over Q the ring is Z, the cyclotomic ring of order 1 (Phi_1 = t - 1), with
 bare ints as elements; over Q(zeta_m) of degree d >= 2 it is Z[z]/Phi_m,
 with integer d-tuples.  `ring(order)` builds each once.  The ring is the
-one place that knows this element format: `CyclotomicIntegers.scale` turns
-field scalars into its elements, for every row an elimination or a d o d
-product takes and for `Cyclotomic.inverse`; `combine` is the Bareiss step
-of every elimination, and `axpy` the multiply-add of every d o d product.
-`gwa.linalg` and `Cyclotomic.inverse` import this module on first use, not
-with the package.
+one place that knows this element format and Phi_m: `Cyclotomic`, the
+field of fractions, reduces its coefficients through the ring's table of
+reduced powers and multiplies and inverts through `scale` and `mul`.
+`CyclotomicIntegers.scale` turns field scalars into ring elements, for
+every row an elimination or a d o d product takes and for every
+`Cyclotomic` product; `combine` is the Bareiss step of every elimination,
+and `axpy` the multiply-add of every d o d product.  `gwa.linalg` and
+`gwa.scalars` import this module on first use, not with the package.
 """
 
 from __future__ import annotations
@@ -40,13 +43,14 @@ class CyclotomicIntegers:
     and `axpy` are plain int loops.
     `cofactor(q)` is the product of the Galois conjugates of q other than q
     itself, so q * cofactor(q) is the norm of q, a rational integer (and
-    cofactor(q) = 1 in Z).
+    cofactor(q) = 1 in Z).  `powers[k]` is z^k reduced modulo Phi_m, for
+    k < max(m, 2d - 1).
     """
 
     def __init__(self, order: int, phi):
         d = len(phi) - 1
         self.order, self.degree = order, d
-        powers = _powers(phi, max(order, 2 * d - 1))
+        self.powers = powers = _powers(phi, max(order, 2 * d - 1))
         # The conjugation z -> z^j sends z^i to z^(i*j mod m).
         self._conjugations = [[powers[i * j % order] for i in range(d)]
                               for j in range(2, order) if gcd(j, order) == 1]

@@ -208,7 +208,7 @@ def kernel_raw(rows, ncols, field_order=None):
         zero, one = Cyclotomic.from_rational(order, 0), Cyclotomic.from_rational(order, 1)
 
         def element(t):
-            return Cyclotomic(order, t, reduce=False) if any(t) else zero
+            return Cyclotomic(order, t) if any(t) else zero
 
         ech = [[element(t) for t in row] for row in ech]
     inverses = [one / row[p] for row, p in zip(ech, pivots)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import re
 
 from .errors import HypothesisError, InputError
-from .scalars import Cyclotomic, cyclotomic_coeffs, scalar_inverse
+from .scalars import Cyclotomic, cyclotomic_coeffs
 
 
 def _norm(coeffs):
@@ -127,7 +127,7 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = scalar_inverse(other.leading())
+        lead_inv = 1 / other.leading()
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         quot = [Fraction(0)] * (dq + 1 if dq >= 0 else 0)
@@ -164,7 +164,7 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = scalar_inverse(self.leading())
+        inv = 1 / self.leading()
         return Poly([c * inv for c in self.coeffs])
 
     def compose_affine(self, scale, shift) -> "Poly":
@@ -231,7 +231,7 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quot * t1
     if r0.is_zero():
         raise ValueError("xgcd(0, 0) is undefined")
-    lead_inv = scalar_inverse(r0.leading())
+    lead_inv = 1 / r0.leading()
     return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
 
 
@@ -286,6 +286,10 @@ def parse_poly(text: str, var: str = "h") -> Poly:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad coefficient list {text!r}") from exc
 
+    # Spaces are deleted before the split, which would join the digits on
+    # either side of one: "h^2 3" would read as h^23.
+    if re.search(r"\d\s+\d", text):
+        raise InputError(f"a space separates two digits in {text!r}")
     chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
     coeffs: dict[int, Fraction] = {}
     for chunk in chunks:

@@ -5,7 +5,10 @@ with positive denominator) or a :class:`Cyclotomic`, an element of the
 extension obtained by adjoining a primitive m-th root of unity, represented
 as the canonical residue modulo the m-th cyclotomic polynomial.  Mixed
 arithmetic coerces rationals into the cyclotomic field; two cyclotomic
-scalars of different orders do not mix.
+scalars of different orders do not mix.  `Cyclotomic` is the field of
+fractions of the ring Z[zeta_m] of `gwa._cyclotomic_ring`: the ring reduces
+its coefficients and multiplies and inverts it, and a rational factor
+scales the coefficients directly.
 """
 
 from __future__ import annotations
@@ -72,30 +75,12 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_coeffs(m)) - 1
 
 
-def _reduce_mod_phi(work: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    """The residue of sum work[i] t^i modulo Phi_m; reduces `work` in place.
+def _ring(order: int):
+    """The ring of integers of Q(zeta_order), from `gwa._cyclotomic_ring`,
+    which imports this module and so is imported here on first use."""
+    from ._cyclotomic_ring import ring
 
-    Coefficients are subtracted as they are, so `Fraction`s stay
-    `Fraction`s.
-    """
-    phi = cyclotomic_coeffs(m)
-    deg = len(phi) - 1
-    # Phi_m is monic; its top term only cancels work[i], which is dropped.
-    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            base = i - deg
-            for j, pj in terms:
-                if pj == 1:
-                    work[base + j] -= c
-                elif pj == -1:
-                    work[base + j] += c
-                else:
-                    work[base + j] -= c * pj
-    del work[deg:]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+    return ring(order)
 
 
 class Cyclotomic:
@@ -103,21 +88,29 @@ class Cyclotomic:
 
     ``coeffs`` is the canonical representative modulo the cyclotomic
     polynomial: a tuple of ``phi(order)`` rationals, ascending powers of the
-    root.  All arithmetic is field arithmetic (the cyclotomic polynomial is
-    irreducible over the rationals).
+    root.  ``Cyclotomic(order, coeffs)`` takes any number of coefficients
+    and reduces those past ``phi(order) - 1`` through the ring's table of
+    reduced powers, with z^k = z^(k mod order).  All arithmetic is field
+    arithmetic (the cyclotomic polynomial is irreducible over the
+    rationals).
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs, reduce: bool = True):
-        if order < 1:
-            raise ScalarFieldError(f"order must be positive, got {order}")
+    def __init__(self, order: int, coeffs):
+        d = euler_phi(order)
         vals = [Fraction(c) for c in coeffs]
-        if reduce:
-            self.coeffs = _reduce_mod_phi(vals, order)
-        else:
-            self.coeffs = tuple(vals)
+        if len(vals) > d:
+            # z^k = z^(k mod m), reduced through the ring's table of powers.
+            powers = _ring(order).powers
+            for k in range(d, len(vals)):
+                if vals[k]:
+                    for t, p in enumerate(powers[k % order]):
+                        if p:
+                            vals[t] += vals[k] * p
+            del vals[d:]
         self.order = order
+        self.coeffs = tuple(vals) + (_ZERO,) * (d - len(vals))
 
     @classmethod
     def _make(cls, order: int, coeffs: tuple) -> "Cyclotomic":
@@ -129,22 +122,15 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Cyclotomic":
-        d = euler_phi(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (d - 1), reduce=False)
+        return cls._make(order, (Fraction(value),) + (_ZERO,) * (euler_phi(order) - 1))
 
     @classmethod
     def zeta(cls, order: int, power: int = 1, cap: int = DEFAULT_ORDER_CAP) -> "Cyclotomic":
         if order > cap:
             raise ScalarFieldError(f"order {order} exceeds the configured cap {cap}")
-        d = euler_phi(order)
-        power %= order
-        if power < d:
-            coeffs = [Fraction(0)] * d
-            coeffs[power] = Fraction(1)
-            return cls(order, coeffs, reduce=False)
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        return cls(order, coeffs)
+        if order < 1:
+            raise ScalarFieldError(f"order must be positive, got {order}")
+        return cls(order, (0,) * (power % order) + (1,))
 
     def _pair(self, other):
         if isinstance(other, Cyclotomic):
@@ -184,19 +170,19 @@ class Cyclotomic:
         )
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic._make(self.order, tuple(c * other for c in self.coeffs))
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        mine, theirs = self.coeffs, o.coeffs
-        prod = [_ZERO] * (2 * len(mine) - 1)
-        for i, a in enumerate(mine):
-            if a:
-                for j, b in enumerate(theirs):
-                    if b:
-                        # A cell still zero takes a * b without adding 0.
-                        cell = prod[i + j]
-                        prod[i + j] = cell + a * b if cell else a * b
-        return Cyclotomic._make(self.order, _reduce_mod_phi(prod, self.order))
+        # (a / da) (b / db) = ab / (da db), with a and b in Z[z].
+        integers = _ring(self.order)
+        da, (a,) = integers.scale([self])
+        db, (b,) = integers.scale([o])
+        ab = integers.mul(a, b)
+        den = da * db
+        return Cyclotomic._make(self.order, tuple(
+            Fraction(c, den) for c in (ab if integers.degree > 1 else (ab,))))
 
     __rmul__ = __mul__
 
@@ -239,9 +225,7 @@ class Cyclotomic:
             raise ZeroDivisionError("cyclotomic division by zero")
         if self.is_rational():
             return Cyclotomic.from_rational(self.order, 1 / self.coeffs[0])
-        from ._cyclotomic_ring import ring
-
-        integers = ring(self.order)
+        integers = _ring(self.order)
         den, (q,) = integers.scale([self])
         k = integers.cofactor(q)
         n = integers.norm(q, k)
@@ -293,15 +277,6 @@ class Cyclotomic:
 def zeta(order: int, power: int = 1, cap: int = DEFAULT_ORDER_CAP) -> Cyclotomic:
     """A primitive ``order``-th root of unity raised to ``power``."""
     return Cyclotomic.zeta(order, power, cap)
-
-
-def scalar_inverse(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    x = Fraction(x)
-    if not x:
-        raise ZeroDivisionError("rational division by zero")
-    return 1 / x
 
 
 def field_order(x) -> int | None:

@@ -71,6 +71,9 @@ def test_exit_codes(capsys):
     # A trailing bare sign is a term with nothing in it, not -1.
     code, _, err = run_main(capsys, ["hh", "--a", "h^2+1-", "--h0", "1"])
     assert code == EXIT_INVALID_INPUT and "cannot parse polynomial term '-'" in err
+    # Digits a space separates are not one number: this is not h^23.
+    code, _, err = run_main(capsys, ["hh", "--a", "h^2 3", "--h0", "1"])
+    assert code == EXIT_INVALID_INPUT and "separates two digits" in err
     code, _, err = run_main(capsys, ["hh", "--a", "5", "--h0", "1"])
     assert code == EXIT_HYPOTHESIS
     code, _, err = run_main(capsys, ["hh", "--a", "h", "--h0", "0"])

@@ -77,12 +77,19 @@ def test_parse_and_format_roundtrip():
         assert parse_poly(format_poly(p)) == p
     assert parse_poly("[1, -3/2, 1]") == parse_poly("h^2 - 3/2*h + 1")
     assert parse_poly("4*H^2+2*H", var="H") == Poly([0, 2, 4])
+    # Spaces between a digit and anything but a digit are ignored.
+    assert parse_poly("2 h") == parse_poly("2*h") == Poly([0, 2])
+    assert parse_poly("- h") == Poly([0, -1])
+    assert parse_poly("h ^ 2") == Poly([0, 0, 1])
+    assert parse_poly("3 / 2*h") == Poly([0, Fraction(3, 2)])
 
 
 def test_parse_rejects_garbage():
     for text in ("", "x^2", "h^^2", "[1, oops]", "h**2",
                  # A bare sign is a term with nothing after it, not 1 or -1.
-                 "h^2+1-", "h^2 - - 1", "h^2 +", "+", "-"):
+                 "h^2+1-", "h^2 - - 1", "h^2 +", "+", "-",
+                 # A space must not join two digits into one number.
+                 "h^2 3", "h^2 + 1 2", "1 0*h", "1 2/3", "1/2 3*h"):
         with pytest.raises(InputError):
             parse_poly(text)
 

@@ -58,8 +58,11 @@ def test_zeta_has_exact_multiplicative_order():
 
 
 def test_mixed_orders_rejected():
-    with pytest.raises(ScalarFieldError):
-        zeta(3) + zeta(4)
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(ScalarFieldError):
+            op(zeta(3), zeta(4))
+        with pytest.raises(ScalarFieldError):
+            op(Cyclotomic(5, [1, 2]), zeta(12))
 
 
 def test_rationals_embed_at_any_order():
@@ -116,7 +119,7 @@ def test_inverse_is_two_sided(a):
     assert inv * a == 1
 
 
-@pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 12, 61])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 8, 12, 61, 105])
 def test_inverse_of_fraction_coefficients(order):
     """The inverse through the norm, on elements with Fraction coefficients
     and on rational ones."""
@@ -128,6 +131,42 @@ def test_inverse_of_fraction_coefficients(order):
         if x:
             assert x * x.inverse() == 1
     assert Cyclotomic.from_rational(order, Fraction(-2, 3)).inverse() == Fraction(-3, 2)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_degree_one_orders_multiply_in_z(order):
+    """Orders 1 and 2 give Q, whose ring Z has bare ints as elements."""
+    x = Cyclotomic(order, [Fraction(2, 3)])
+    y = Cyclotomic(order, [Fraction(-5, 4)])
+    assert (x * y).coeffs == (Fraction(-5, 6),)
+    assert (x / y).coeffs == (Fraction(-8, 15),)
+    assert (x ** 3).coeffs == (Fraction(8, 27),)
+    assert (x ** -2).coeffs == (Fraction(9, 4),)
+    z = zeta(order)
+    assert z.coeffs == ((Fraction(1),) if order == 1 else (Fraction(-1),))
+    assert (z * z).coeffs == (Fraction(1),)
+    assert (z ** 3 / x).coeffs == ((Fraction(3, 2),) if order == 1 else (Fraction(-3, 2),))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 12, 105])
+def test_powers_of_zeta_reduce_modulo_order(order):
+    """z^p for 0 <= p < 2m, as `zeta(m, p)`, as a power, as a running
+    product and as a coefficient list longer than m, agree; so does a long
+    list with rational coefficients and its sum of c_k z^k."""
+    z = zeta(order, cap=order)
+    power = Cyclotomic.from_rational(order, 1)
+    for p in range(2 * order):
+        assert zeta(order, p, cap=order) == z ** p == power
+        assert Cyclotomic(order, [0] * p + [1]) == power
+        power = power * z
+    assert Cyclotomic(order, [0] * order + [1]) == 1
+    rng = random.Random(order)
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3 * order + 1)]
+    expected, power = Cyclotomic.from_rational(order, 0), Cyclotomic.from_rational(order, 1)
+    for c in coeffs:
+        expected, power = expected + c * power, power * z
+    got = Cyclotomic(order, coeffs)
+    assert got == expected and len(got.coeffs) == euler_phi(order)
 
 
 def test_inverse_of_zero_raises():
