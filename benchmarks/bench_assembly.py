@@ -7,13 +7,18 @@ per field.
 
 Imports `gwa` from `--src` and wraps `gwa.complexes.assemble_total_matrix`
 (with a timer) and `gwa.complexes.compose_is_zero` (to record its calls),
-the names the oracle looks up at each call.  A pass is one `oracle_dims` call per variant
+the names the oracle looks up at each call; where the tree has them, also
+`gwa.complexes._block_table` (with a timer) and `_build_block_table` (to
+count the builds).  A pass is one `oracle_dims` call per variant
 (homology, then cohomology) with p_max 4 on a = h^5-2h^4+h^3, h0 = 1, which
-stabilizes at D = 24.  It runs for each field named by `--fields`
-(default: all): Q (no twist) and the torus twists w = -1, zeta3, zeta4,
-zeta5 and zeta8.  For each field it prints the median over 5 passes of the
-assembly time, the time of the d o d = 0 check (`dod_s`), the pass time
-and the assembly calls of a pass, with every sample.  The check's calls
+stabilizes at D = 24.  Each pass starts with the caches of
+`gwa.complexes` and `gwa.algebra` emptied, as a new `gwa` process starts
+a job.  It runs for each field named by `--fields` (default: all): Q (no
+twist) and the torus twists w = -1, zeta3, zeta4, zeta5 and zeta8.  For
+each field it prints the median over 5 passes of the assembly time, the
+part of it in the block table (`table_s`, null for a tree without one),
+the time of the d o d = 0 check (`dod_s`), the pass time, and the
+assembly calls and table builds of a pass, with every sample.  The check's calls
 are a few milliseconds each, too short for the gauge to scale one by one,
 so `dod_s` replays the calls of a pass back to back `DOD_REPLAYS` times
 after it, as one gauged step, and reports the time per replay.  With
@@ -61,30 +66,54 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
-def one_pass(gwa, order: int | None,
-             gauge: calibrate.Gauge) -> tuple[float, float, float, int]:
-    """(assembly time, d o d check time, pass time, assembly calls) of one
-    pass, times in reference seconds; the d o d time is that of one replay
-    of the pass's checks (module docstring)."""
+def one_pass(gwa, order: int | None, gauge: calibrate.Gauge) -> dict:
+    """The times (in reference seconds) and counts of one pass: `assembly`,
+    `table` (None without a block table), `dod` (one replay of the pass's
+    checks, see the module docstring), `pass`, `calls` (assemblies) and
+    `builds` (block tables built; None without a block table)."""
     from fractions import Fraction
 
     complexes = gwa.complexes
+    for module in (gwa.complexes, gwa.algebra):
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     spec = gwa.algebra.GWASpec(gwa.poly.parse_poly(A), gwa.poly.ShiftSigma(1))
     twist = None if order is None else gwa.algebra.Torus(
         Fraction(-1) if order == 2 else gwa.scalars.zeta(order))
-    spent = [0.0, 0]
+    tabled = hasattr(complexes, "_block_table")
+    sample = {"assembly": 0.0, "calls": 0,
+              "table": 0.0 if tabled else None, "builds": 0 if tabled else None}
     checks = []
-    real, real_check = complexes.assemble_total_matrix, complexes.compose_is_zero
 
-    def timed(*args):
-        result, elapsed = gauge.timed(lambda: real(*args))
-        spent[0] += elapsed
-        spent[1] += 1
-        return result
+    def wrapped(real, time_key=None, count_key=None):
+        """`real`, with its gauged time added to `sample[time_key]` and its
+        calls counted in `sample[count_key]`."""
+        def wrapper(*args):
+            if count_key:
+                sample[count_key] += 1
+            if not time_key:
+                return real(*args)
+            result, elapsed = gauge.timed(lambda: real(*args))
+            sample[time_key] += elapsed
+            return result
+        return wrapper
 
-    def recorded_check(*args):
-        checks.append(args)
-        return real_check(*args)
+    def recorded(real):
+        def check(*args):
+            checks.append(args)
+            return real(*args)
+        return check
+
+    real = {"assemble_total_matrix": complexes.assemble_total_matrix,
+            "compose_is_zero": complexes.compose_is_zero}
+    wrappers = {"assemble_total_matrix": wrapped(real["assemble_total_matrix"], "assembly", "calls"),
+                "compose_is_zero": recorded(real["compose_is_zero"])}
+    if tabled:
+        real["_block_table"] = complexes._block_table
+        real["_build_block_table"] = complexes._build_block_table
+        wrappers["_block_table"] = wrapped(real["_block_table"], "table")
+        wrappers["_build_block_table"] = wrapped(real["_build_block_table"], count_key="builds")
 
     def run():
         for variant in ("homology", "cohomology"):
@@ -93,15 +122,18 @@ def one_pass(gwa, order: int | None,
     def replay():
         for _ in range(DOD_REPLAYS):
             for args in checks:
-                real_check(*args)
+                real["compose_is_zero"](*args)
 
-    complexes.assemble_total_matrix, complexes.compose_is_zero = timed, recorded_check
+    for name, wrapper in wrappers.items():
+        setattr(complexes, name, wrapper)
     try:
-        _, total = gauge.timed(run)
+        _, sample["pass"] = gauge.timed(run)
     finally:
-        complexes.assemble_total_matrix, complexes.compose_is_zero = real, real_check
+        for name, function in real.items():
+            setattr(complexes, name, function)
     _, dod = gauge.timed(replay)
-    return spent[0], dod / DOD_REPLAYS, total, spent[1]
+    sample["dod"] = dod / DOD_REPLAYS
+    return sample
 
 
 def arguments(doc: str) -> argparse.ArgumentParser:
@@ -153,19 +185,33 @@ def main() -> int:
     for name in args.fields:
         with calibrate.Gauge() as gauge:
             samples = [one_pass(gwa, FIELDS[name], gauge) for _ in range(RUNS)]
-        assembly, dod, total, calls = zip(*samples)
+
+        def median(key, digits=4):
+            values = [sample[key] for sample in samples]
+            return None if None in values else round(statistics.median(values), digits)
+
+        def every(key):
+            values = [sample[key] for sample in samples]
+            return None if None in values else [round(v, 4) for v in values]
+
         fields[name] = {
-            "assembly_s": round(statistics.median(assembly), 4),
-            "dod_s": round(statistics.median(dod), 4),
-            "pass_s": round(statistics.median(total), 4),
-            "assembly_calls": statistics.median(calls),
-            "assembly_samples_s": [round(v, 4) for v in assembly],
-            "dod_samples_s": [round(v, 4) for v in dod],
-            "pass_samples_s": [round(v, 4) for v in total],
+            "assembly_s": median("assembly"),
+            "table_s": median("table"),
+            "dod_s": median("dod"),
+            "pass_s": median("pass"),
+            "assembly_calls": median("calls"),
+            "table_builds": median("builds"),
+            "assembly_samples_s": every("assembly"),
+            "table_samples_s": every("table"),
+            "dod_samples_s": every("dod"),
+            "pass_samples_s": every("pass"),
         }
-        print(f"{name:6} assembly {fields[name]['assembly_s']:.3f} s, "
+        table = fields[name]["table_s"]
+        print(f"{name:6} assembly {fields[name]['assembly_s']:.3f} s "
+              f"(table {'-' if table is None else f'{table:.3f}'} s, "
+              f"{fields[name]['table_builds']} builds), "
               f"d o d {fields[name]['dod_s']:.3f} s, "
-              f"pass {fields[name]['pass_s']:.3f} s, {calls[0]} assemblies "
+              f"pass {fields[name]['pass_s']:.3f} s, {samples[0]['calls']} assemblies "
               f"(median of {RUNS}, reference seconds)", file=sys.stderr)
     result = {"a": A, "h0": "1", "p_max": P_MAX, "runs": RUNS, "dod_replays": DOD_REPLAYS,
               "unit": f"reference s ({calibrate.REFERENCE_S} s per calibration kernel run)",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import HypothesisError, InputError, InternalConsistencyError
@@ -192,10 +193,9 @@ def _term_mul(spec: GWASpec, i: int, p: Poly, j: int, q: Poly):
     generator powers through sigma, and opposite powers annihilate one pair
     at a time through yx = a / xy = sigma(a).
     """
-    s = spec.sigma
     # Move q to the left across the first factor's generator power:
     # x^i q = sigma^i(q) x^i, y^m q = sigma^{-m}(q) y^m, so the shift is by i.
-    coeff = p * sigma_pow(q, i, s)
+    coeff = p * sigma_pow(q, i, spec.sigma)
     if i == 0 or j == 0 or (i > 0) == (j > 0):
         yield (i + j, coeff)
         return
@@ -204,15 +204,31 @@ def _term_mul(spec: GWASpec, i: int, p: Poly, j: int, q: Poly):
         m = -j
         k = min(i, m)
         for t in range(i, i - k, -1):
-            coeff = coeff * sigma_pow(spec.a, t, s)
+            coeff = coeff * _sigma_a(spec, t)
         yield (i + j, coeff)
     else:
         # y^m x^i: peel yx pairs; y^t x = sigma^{-(t-1)}(a) y^{t-1}.
         m = -i
         k = min(m, j)
         for t in range(m, m - k, -1):
-            coeff = coeff * sigma_pow(spec.a, -(t - 1), s)
+            coeff = coeff * _sigma_a(spec, -(t - 1))
         yield (i + j, coeff)
+
+
+# t -> sigma^t(a), for the last (a, h0) only: a job's products peel the
+# same few.
+@lru_cache(maxsize=1)
+def _shifted_a(a_coeffs: tuple, h0) -> dict:
+    return {}
+
+
+def _sigma_a(spec: GWASpec, t: int) -> Poly:
+    """sigma^t(a) of `spec`, computed once per (a, h0, t)."""
+    shifted = _shifted_a(spec.a.coeffs, spec.sigma.h0)
+    p = shifted.get(t)
+    if p is None:
+        p = shifted[t] = sigma_pow(spec.a, t, spec.sigma)
+    return p
 
 
 def multiply(u: GWAElement, v: GWAElement) -> GWAElement:

@@ -22,16 +22,16 @@ their spec to it once, after an exact check of lam*b(t) = a(h0*t).  Under
 h^e = h0^e t^e each truncated matrix is a diagonal rescaling of the one of
 (a, h0), so every rank, pivot column and stabilization history is the same.
 
-A torus twist x -> w x, y -> w^{-1} y scales a term whose right factor has
-weight k by w^k.  So each block of the assembled matrices is filled from a
-rational polynomial and scaled by one scalar, w^k: a rational w^k is folded
-into the polynomial, and a cyclotomic one turns each value into a cell as
-it is written (`_fill_block`).
-
-Each block is an operator p |-> g(h) p(h - c), with the shift c the weight
-of the factor acting on the left, one of -1, 0 and 1 (checked in
-`_assemble`).  That makes d o d = 0 decidable on the columns of degree at
-most `D_SQUARED_BOUND`, at every truncation at once (`_check_d_squared`).
+Each block of an assembled matrix is an operator p |-> g(h) p(h - c)
+between two copies of k[h]: c = k*h0 for the weight k of the factor acting
+on the left, one of -1, 0 and 1 (checked in `_build_block_table`).  A torus
+twist x -> w x, y -> w^{-1} y scales a term whose right factor has weight k
+by w^k.  So assembly is a twist-free block table per algebra, variant and
+degree, built once in integer `Poly` arithmetic on the normal form
+(`_block_table`), and a fill at the bounds asked for that scales each
+block by its w^k (`_fill`).  The block form makes d o d = 0 decidable on
+the columns of degree at most `D_SQUARED_BOUND`, at every truncation at
+once (`_check_d_squared`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .linalg import (
     rank_rows,
     stabilize,
 )
-from .poly import Poly, ShiftSigma, gcd_monic, poly_xgcd, sigma_pow
+from .poly import Poly, ShiftSigma, exact, gcd_monic, poly_xgcd, sigma_pow
 from .scalars import Cyclotomic, field_order
 
 GENERATORS = ("x", "y", "h")
@@ -163,7 +163,7 @@ def _dce_terms(spec: GWASpec):
     expanded along e_h, [x, h] = -h0 x, [y, h] = h0 y.
     """
     one = spec.one()
-    h0 = spec.sigma.h0
+    h0 = exact(spec.sigma.h0)
     gens = {"x": spec.x(), "y": spec.y(), "h": spec.h()}
     sa_minus_a = sigma_pow(spec.a, 1, spec.sigma) - spec.a
 
@@ -271,33 +271,21 @@ def _poly_at(value: GWAElement, weight: int) -> Poly:
     return value.coefficient(weight)
 
 
-def _integral(v):
-    """`v` as an int if it is an integral `Fraction`; otherwise `v` itself."""
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_coeffs, c,
+                scale=None):
+    """Add the block of p |-> scale * g * p(h - c) between two k[h] copies,
+    g the polynomial of the coefficients `g_coeffs`; no `scale` means 1.
 
-
-def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
-                c, scale=None):
-    """Add the block of p |-> scale * g_poly * p(h - c) between two k[h]
-    copies; no `scale` means 1.
-
-    Column e is the image of h^e, g_poly * (h - c)^e, whose degree is
-    deg(g_poly) + e; each column is built from the previous one on plain
-    coefficient lists.  Each integral `Fraction` among c and the
-    coefficients of g_poly is taken as an int first, so on the integral
-    normal form, where c is an integer and g_poly has integer
-    coefficients, the recursion is int arithmetic, whatever the field, and
-    without `scale` the cells written are ints.  A coefficient that is not
-    integral (a folded rational twist such as w = 1/2, or a block off the
-    normal form) stays an exact `Fraction`.  The twist enters only through
-    `scale`, a cyclotomic power w^k of the torus parameter (a rational one
-    is folded into g_poly by the caller): each value is turned into a cell
-    as it is written, built from the coefficient tuple of w^k, with no
-    field multiplication.
+    Column e is the image of h^e, g * (h - c)^e, of degree deg(g) + e, each
+    built from the previous one on plain coefficient lists: int arithmetic
+    on the normal form, whatever the field.  `scale` is a cyclotomic w^k
+    (`_fill` folds a rational one into g): each value is turned into a cell
+    as it is written, from the coefficient tuple of w^k, with no field
+    multiplication.
     """
-    if g_poly.is_zero():
+    if not g_coeffs:
         return
-    top = g_poly.degree + dom_space.degree_bound
+    top = len(g_coeffs) - 1 + dom_space.degree_bound
     if top > cod_space.degree_bound:
         raise InternalConsistencyError(
             f"image degree {top} overflows codomain bound {cod_space.degree_bound}"
@@ -312,8 +300,7 @@ def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
             return [Cyclotomic._make(order, tuple(v * t for t in coeffs)) if v else v
                     for v in values]
     dom_copies, cod_copies = dom_space.copies, cod_space.copies
-    c = _integral(c)
-    cur = [_integral(v) for v in g_poly.coeffs]
+    cur = list(g_coeffs)
     values = cells(cur)
     for e in range(dom_space.degree_bound + 1):
         if e and c:
@@ -321,7 +308,7 @@ def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly: Poly,
             cur = [-c * cur[0]] + [a - c * b for a, b in zip(cur, cur[1:])] + [cur[-1]]
             values = cells(cur)
         col = e * dom_copies + copy_dom
-        # Without a shift, column e is g_poly moved up by e degrees.
+        # Without a shift, column e is g moved up by e degrees.
         for deg, v in enumerate(values, 0 if c else e):
             if v:
                 # Storing v into an empty cell skips an exact 0 + v addition.
@@ -361,9 +348,35 @@ def _row_spots(k: int):
 
 def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
               b_dom: int, b_cod: int) -> TruncatedMap:
-    """Weight-zero matrix of the differential out of degree p: from the sum
+    """Weight-zero matrix of the differential out of degree p, from the sum
     of the components at `spots_of(p)` to those at `spots_of(p - 1)`
-    (homology) or `spots_of(p + 1)` (cohomology).
+    (homology) or `spots_of(p + 1)` (cohomology), at bounds (b_dom, b_cod):
+    the twist-free block table of `spec` (`_block_table`), filled with the
+    twist of `kind` (`_fill`)."""
+    return _fill(_block_table(spec, kind.variant, spots_of, p), kind, b_dom, b_cod)
+
+
+# The block tables are kept for one algebra, like the term tables: a job's
+# oracle calls all read its own normal form, whatever the twist and bounds.
+@lru_cache(maxsize=1)
+def _block_tables(spec: GWASpec) -> dict:
+    return {}
+
+
+def _block_table(spec: GWASpec, variant: str, spots_of, p: int):
+    """(domain copies, codomain copies, blocks) of the differential out of
+    degree p, for every twist and bound: `blocks` maps (copy_dom, copy_cod,
+    c, weight) to the coefficients of g in the block p |-> w^weight g(h)
+    p(h - c).  Built once per key, for the last algebra only."""
+    tables = _block_tables(spec)
+    key = (variant, spots_of, p)
+    if key not in tables:
+        tables[key] = _build_block_table(spec, variant, spots_of, p)
+    return tables[key]
+
+
+def _build_block_table(spec: GWASpec, variant: str, spots_of, p: int):
+    """`_block_table(spec, variant, spots_of, p)`, built.
 
     The routes out of a spot (i, k) are the row differential to (i, k-1) and
     the vertical one to (i-1, k+1); row 0 has no vertical route, so a single
@@ -372,19 +385,14 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     The terms that meet in one pair of copies, with the same shift and the
     same twist weight, act through one polynomial: their sum, which is
     filled once.  A shift beyond `MAX_SHIFT` raises
-    `InternalConsistencyError`: the d o d certificate assumes none.
-
-    Rows start as int zeros.  On the integral normal form every cell is an
-    int over Q and for w = -1; over a field of higher degree the cells the
-    twist scales are `Cyclotomic`s and the others ints.  A rational twist
-    whose powers w^k are not all integers (w = 1/2, or w = 2, whose weight
-    -1 blocks take 1/2) leaves `Fraction`s in the blocks it scales.
+    `InternalConsistencyError`: the d o d certificate assumes none.  On an
+    integral spec (h0 = 1 and a in Z[t]), as the oracle's normal form is,
+    every product is int arithmetic, and a coefficient that is not an int
+    raises `InternalConsistencyError`.
     """
-    homology = kind.variant == "homology"
+    homology = variant == "homology"
     dom_map, dom_copies = _copy_index(spots_of(p))
     cod_map, cod_copies = _copy_index(spots_of(p - 1 if homology else p + 1))
-    dom_space = TruncatedSpace(kind.field_order, dom_copies, b_dom)
-    cod_space = TruncatedSpace(kind.field_order, cod_copies, b_cod)
     dce = _dce_terms(spec)
     df = _df_terms(spec)
     # The coefficients are A with the left action untwisted and the right
@@ -396,7 +404,7 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
     # products run untwisted and w^k is the block's scalar.
     sign = -1 if homology else 1
     here, there = (dom_map, cod_map) if homology else (cod_map, dom_map)
-    blocks: dict[tuple, Poly] = {}
+    sums: dict[tuple, Poly] = {}
     for (spot, slot), copy in here.items():
         i, k = spot
         routes = [((i, k - 1), dce[slot])] if k >= 1 else []
@@ -415,23 +423,47 @@ def _assemble(spec: GWASpec, kind: ComplexKind, spots_of, p: int,
                     copy_dom, copy_cod = other, copy
                 pref = _prefactor(spec, sign * slot_weight(dom_slot))
                 g_poly = _poly_at(left * pref * right, sign * slot_weight(cod_slot))
-                weight = _element_weight(right) if kind.twist is not None else 0
-                key = (copy_dom, copy_cod, _element_weight(left), weight)
-                blocks[key] = blocks[key] + g_poly if key in blocks else g_poly
+                shift = _element_weight(left)
+                if abs(shift) > MAX_SHIFT:
+                    raise InternalConsistencyError(
+                        f"block shift {shift} exceeds the certified bound {MAX_SHIFT}"
+                    )
+                key = (copy_dom, copy_cod, shift, _element_weight(right))
+                sums[key] = sums[key] + g_poly if key in sums else g_poly
+    h0 = exact(spec.sigma.h0)
+    blocks = {(copy_dom, copy_cod, shift * h0, weight): g_poly.coeffs
+              for (copy_dom, copy_cod, shift, weight), g_poly in sums.items() if g_poly}
+    if h0 == 1 and all(type(c) is int for c in spec.a.coeffs) and any(
+            type(v) is not int for g in blocks.values() for v in g):
+        raise InternalConsistencyError(
+            f"the block table of the integral spec {spec} is not over Z")
+    return dom_copies, cod_copies, blocks
+
+
+def _fill(table, kind: ComplexKind, b_dom: int, b_cod: int) -> TruncatedMap:
+    """The map of the block table `table` under the twist of `kind`,
+    truncated at domain and codomain degree bounds (b_dom, b_cod).
+
+    Rows start as int zeros.  On the integral normal form every cell is an
+    int over Q and for w = -1; over a field of higher degree the cells the
+    twist scales are `Cyclotomic`s and the others ints.  A rational twist
+    whose powers w^k are not all integers (w = 1/2, or w = 2, whose weight
+    -1 blocks take 1/2) leaves `Fraction`s in the blocks it scales.
+    """
+    dom_copies, cod_copies, blocks = table
+    dom_space = TruncatedSpace(kind.field_order, dom_copies, b_dom)
+    cod_space = TruncatedSpace(kind.field_order, cod_copies, b_cod)
     rows = [[0] * dom_space.dim for _ in range(cod_space.dim)]
-    h0 = spec.sigma.h0
-    scales = {weight: kind.twist.w ** weight for *_, weight in blocks if weight}
-    for (copy_dom, copy_cod, shift, weight), g_poly in blocks.items():
-        if abs(shift) > MAX_SHIFT:
-            raise InternalConsistencyError(
-                f"block shift {shift} exceeds the certified bound {MAX_SHIFT}"
-            )
+    twist = kind.twist
+    scales = {} if twist is None else {
+        weight: exact(twist.w ** weight) for *_, weight in blocks if weight}
+    for (copy_dom, copy_cod, c, weight), g_coeffs in blocks.items():
         scale = scales.get(weight)
         if scale is not None and not isinstance(scale, Cyclotomic):
-            # A rational scalar costs nothing folded into the polynomial.
-            g_poly, scale = g_poly * scale, None
-        _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_poly,
-                    shift * h0, scale)
+            # A rational scalar costs nothing folded into the polynomial;
+            # an integral one (w = -1) keeps it over Z.
+            g_coeffs, scale = (Poly(g_coeffs) * scale).coeffs, None
+        _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_coeffs, c, scale)
     return TruncatedMap(dom_space, cod_space, rows)
 
 

@@ -122,7 +122,8 @@ def reflectivity(a: Poly) -> Reflectivity:
     if a.is_constant():
         raise HypothesisError("a must be non-constant")
     n = a.degree
-    candidate = -2 * a[n - 1] / (n * a[n])
+    # A Fraction numerator keeps the quotient exact when both are ints.
+    candidate = Fraction(-2) * a[n - 1] / (n * a[n])
     if is_reflection_constant(a, candidate):
         return Reflectivity(True, candidate)
     return Reflectivity(False, None)

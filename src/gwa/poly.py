@@ -1,10 +1,11 @@
 """Dense univariate polynomials in h over the exact scalar fields.
 
 Coefficients are stored ascending with trailing zeros stripped, so the zero
-polynomial is the empty tuple and ``degree`` is ``len - 1``.  The module also
-carries the shift automorphism h -> h - h0 and the gcd machinery producing
-the two integers that control every dimension formula downstream:
-n = deg a and d = deg gcd(a, a').
+polynomial is the empty tuple and ``degree`` is ``len - 1``; an integral
+coefficient is an int, so arithmetic over Z builds no `Fraction`.  The
+module also carries the shift automorphism h -> h - h0 and the gcd
+machinery producing the two integers that control every dimension formula
+downstream: n = deg a and d = deg gcd(a, a').
 """
 
 from __future__ import annotations
@@ -17,28 +18,42 @@ from .errors import HypothesisError, InputError
 from .scalars import Cyclotomic, cyclotomic_coeffs
 
 
-def _norm(coeffs):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+def exact(c):
+    """c as a `Poly` stores it: an integral `Fraction` as an int."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, (int, Cyclotomic)):
+        return c
+    raise InputError(f"unsupported coefficient {c!r}")
+
+
+def _inverse(c):
+    """1/c, exact for an int c, for which 1/c would be a float."""
+    if type(c) is int:
+        return c if c == 1 or c == -1 else Fraction(1, c)
+    return 1 / c
+
+
+def _poly(vals: list) -> "Poly":
+    """The `Poly` of the exact scalars `vals`, stored as `exact` does."""
+    for i, c in enumerate(vals):
+        if type(c) is Fraction and c.denominator == 1:
+            vals[i] = c.numerator
+    while vals and not vals[-1]:
+        vals.pop()
+    p = object.__new__(Poly)
+    p.coeffs = tuple(vals)
+    return p
 
 
 class Poly:
-    """Univariate polynomial with exact coefficients, ascending degree."""
+    """Univariate polynomial with exact coefficients, ascending degree: an
+    int for an integer, otherwise a `Fraction` or a `Cyclotomic`."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, (int, Fraction)):
-                vals.append(Fraction(c))
-            elif isinstance(c, Cyclotomic):
-                vals.append(c)
-            else:
-                raise InputError(f"unsupported coefficient {c!r}")
-        self.coeffs = _norm(vals)
+        self.coeffs = _poly([exact(c) for c in coeffs]).coeffs
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -70,14 +85,14 @@ class Poly:
         return self.coeffs[-1]
 
     def __getitem__(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        return _poly([self[i] + other[i] for i in range(n)])
 
     __radd__ = __add__
 
@@ -86,28 +101,29 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return _poly([self[i] - other[i] for i in range(n)])
 
     def __rsub__(self, other):
         return _as_poly(other) - self
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return Poly([c * other for c in self.coeffs])
+            return _poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        theirs = other.coeffs
+        out = [0] * (len(self.coeffs) + len(theirs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(theirs, i):
                     if b:
-                        out[i + j] += a * b
-        return Poly(out)
+                        out[j] += a * b
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -127,17 +143,17 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = 1 / other.leading()
+        lead_inv = _inverse(other.leading())
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
-        quot = [Fraction(0)] * (dq + 1 if dq >= 0 else 0)
+        quot = [0] * (dq + 1 if dq >= 0 else 0)
         for i in range(len(rem) - 1, other.degree - 1, -1):
             c = rem[i] * lead_inv
             if c:
                 quot[i - other.degree] = c
                 for j, dj in enumerate(other.coeffs):
                     rem[i - other.degree + j] -= c * dj
-        return Poly(quot), Poly(rem)
+        return _poly(quot), _poly(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -159,21 +175,30 @@ class Poly:
         return bool(self.coeffs)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = 1 / self.leading()
-        return Poly([c * inv for c in self.coeffs])
+        inv = _inverse(self.leading())
+        return _poly([c * inv for c in self.coeffs])
 
     def compose_affine(self, scale, shift) -> "Poly":
-        """p(scale*h + shift), by Horner."""
-        arg = Poly((shift, scale))
-        result = Poly()
-        for c in reversed(self.coeffs):
-            result = result * arg + Poly.const(c)
-        return result
+        """p(scale*h + shift): the Taylor shift r(h) = p(h + shift), by
+        synthetic division on the coefficient list, then r(scale*h)."""
+        scale, shift = exact(scale), exact(shift)
+        out = list(self.coeffs)
+        top = len(out) - 1
+        if shift:
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    out[j] += shift * out[j + 1]
+        if scale != 1:
+            power = 1
+            for k in range(1, top + 1):
+                power *= scale
+                out[k] *= power
+        return _poly(out)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -206,7 +231,7 @@ def sigma_pow(p: Poly, k: int, s: ShiftSigma) -> Poly:
     """sigma^k applied to p, i.e. p(h - k*h0); negative k gives the inverse."""
     if k == 0:
         return p
-    return p.compose_affine(1, -k * s.h0)
+    return p.compose_affine(1, -k * exact(s.h0))
 
 
 def gcd_monic(p: Poly, q: Poly) -> Poly:
@@ -231,7 +256,7 @@ def poly_xgcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quot * t1
     if r0.is_zero():
         raise ValueError("xgcd(0, 0) is undefined")
-    lead_inv = 1 / r0.leading()
+    lead_inv = _inverse(r0.leading())
     return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
 
 

@@ -7,8 +7,9 @@ as the canonical residue modulo the m-th cyclotomic polynomial.  Mixed
 arithmetic coerces rationals into the cyclotomic field; two cyclotomic
 scalars of different orders do not mix.  `Cyclotomic` is the field of
 fractions of the ring Z[zeta_m] of `gwa._cyclotomic_ring`: the ring reduces
-its coefficients and multiplies and inverts it, and a rational factor
-scales the coefficients directly.
+its coefficients and multiplies and inverts it.  A rational factor or
+divisor, a rational `Cyclotomic` included, scales the coefficients by an
+exact `Fraction` instead.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ class Cyclotomic:
         o = self._pair(other)
         if o is None:
             return NotImplemented
+        # A rational factor scales the other's coefficients.
+        if o.is_rational():
+            return self * o.coeffs[0]
+        if self.is_rational():
+            return o * self.coeffs[0]
         # (a / da) (b / db) = ab / (da db), with a and b in Z[z].
         integers = _ring(self.order)
         da, (a,) = integers.scale([self])
@@ -235,6 +241,9 @@ class Cyclotomic:
         o = self._pair(other)
         if o is None:
             return NotImplemented
+        if o.is_rational():
+            # A rational divisor scales the coefficients by its inverse.
+            return self * (1 / o.coeffs[0])
         return self * o.inverse()
 
     def __rtruediv__(self, other):

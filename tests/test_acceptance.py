@@ -6,6 +6,7 @@ budgets are asserted with wall-clock measurements.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 from conftest import h0_basis_independent
@@ -110,7 +111,26 @@ def test_criterion_4_randomized_oracle_vs_formula(suite):
            f"{elapsed:.1f}s < 600s; failures={failures}")
 
 
-def test_criterion_5_twisted_suite(suite):
+def test_criterion_5_twisted_suite(suite, monkeypatch):
+    """Also counts the assemblies and the block tables built: the loop
+    runs spec by spec, so the three twists and every bound of one normal
+    form read one build of each (variant, degree) table."""
+    import gwa.complexes as cx
+
+    builds, assemblies = Counter(), [0]
+    real_build, real_assemble = cx._build_block_table, cx._assemble
+
+    def build(spec, variant, spots_of, p):
+        builds[(spec, variant, spots_of, p)] += 1
+        return real_build(spec, variant, spots_of, p)
+
+    def assemble(*args):
+        assemblies[0] += 1
+        return real_assemble(*args)
+
+    monkeypatch.setattr(cx, "_build_block_table", build)
+    monkeypatch.setattr(cx, "_assemble", assemble)
+    cx._block_tables.cache_clear()
     started = time.perf_counter()
     twists = [Fraction(-1), zeta(3), zeta(4)]
     failures = []
@@ -123,10 +143,13 @@ def test_criterion_5_twisted_suite(suite):
                 if got != want:
                     failures.append((str(spec), variant, str(w), got, want))
     elapsed = time.perf_counter() - started
-    ok = not failures
+    rebuilt = [key for key, count in builds.items() if count > 1]
+    ok = not failures and not rebuilt
     report(5, ok,
            f"twisted suite over {len(suite)} polynomials x 3 twists, both "
-           f"variants, degrees 0..4 exact in {elapsed:.1f}s; failures={failures}")
+           f"variants, degrees 0..4 exact in {elapsed:.1f}s; "
+           f"{sum(builds.values())} block tables built for {assemblies[0]} "
+           f"assemblies, rebuilt={rebuilt}; failures={failures}")
 
 
 def test_criterion_6_invariant_subalgebras():

@@ -212,3 +212,22 @@ def test_automorphisms_are_algebra_maps(da, db):
         assert apply_automorphism(g, u * v) == (
             apply_automorphism(g, u) * apply_automorphism(g, v)
         )
+
+
+def test_peeled_shifts_of_a_are_cached_per_a_and_h0():
+    """The sigma^t(a) that products peel are computed once per (a, h0, t):
+    for one a under several h0, in turn, each equals `sigma_pow`, and the
+    products that peel them satisfy the defining relations."""
+    import gwa.algebra
+
+    a = Poly([-2, 1, 0, 3])
+    for h0 in (1, Fraction(1, 2), -2, 1):
+        spec = GWASpec(a, ShiftSigma(h0))
+        for t in range(-3, 4):
+            assert gwa.algebra._sigma_a(spec, t) == sigma_pow(a, t, spec.sigma), (h0, t)
+        x, y = spec.x(), spec.y()
+        assert y * x == spec.from_poly(a)
+        assert x * y == spec.from_poly(sigma(spec, a))
+        assert (x * y) * y == spec.monomial(-1, sigma(spec, a))
+        assert (x * x) * (y * y) == spec.from_poly(sigma(spec, a, 2) * sigma(spec, a))
+    assert gwa.algebra._shifted_a.cache_info().currsize == 1

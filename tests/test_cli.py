@@ -146,14 +146,14 @@ def test_run_job_helper():
 
 
 def test_term_tables_keep_one_algebra():
-    """The GWA term tables are cached for the last algebra only, and a
-    verify job of both variants builds each table once."""
+    """The GWA term tables and the block tables are cached for the last
+    algebra only, and a verify job of both variants builds each once."""
     import gwa.complexes as cx
 
-    tables = (cx._dce_terms, cx._df_terms)
+    tables = (cx._dce_terms, cx._df_terms, cx._block_tables)
     run_job(["verify", "--a=h^2-1", "--p-max", "1"])
     run_job(["verify", "--a=h^3-h", "--p-max", "1"])
-    assert [table.cache_info().currsize for table in tables] == [1, 1]
+    assert [table.cache_info().currsize for table in tables] == [1, 1, 1]
     for table in tables:
         table.cache_clear()
     run_job(["verify", "--a=h^3-h", "--kind", "both", "--p-max", "1"])

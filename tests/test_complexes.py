@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -219,32 +220,47 @@ class _Certified(Exception):
     """Raised in place of the first `homology_dim_at`: the d o d check passed."""
 
 
-def _faulted_block_runs(monkeypatch, spec, kind, p_max):
-    """For each block of the maps that the oracle reads, in fill order:
-    whether the oracle's certificate and the full-size reference, on the
-    oracle's pairs, each pass when that one block is filled with its shift
-    c replaced by c + 1."""
+def _faulted_block_runs(monkeypatch, spec, kind, p_max, fault):
+    """For no fault (the key None) and for each block of the maps that the
+    oracle reads, in fill order: whether the oracle's certificate and the
+    full-size reference, on the oracle's pairs, each pass when that one
+    block is faulted.  The fault "shift" fills the block with its shift c
+    replaced by c + 1 (in `_fill_block`); the fault "entry" adds 1 to the
+    constant coefficient of its entry in the block table (in a copy of what
+    `_block_table` returns, so the cached table stays whole)."""
     real_assemble, real_fill = gwa.complexes.assemble_total_matrix, gwa.complexes._fill_block
+    real_table = gwa.complexes._block_table
     state = {"target": None}
 
     def assemble(spec, kind, p, b_dom, b_cod):
         state["block"] = [p, 0]
         return real_assemble(spec, kind, p, b_dom, b_cod)
 
-    def fill(rows, dom, cod, copy_dom, copy_cod, g_poly, c, scale=None):
-        if tuple(state["block"]) == state["target"]:
+    def fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, scale=None):
+        if fault == "shift" and tuple(state["block"]) == state["target"]:
             c += 1
         state["block"][1] += 1
-        real_fill(rows, dom, cod, copy_dom, copy_cod, g_poly, c, scale)
+        real_fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, scale)
+
+    def table(spec, variant, spots_of, p):
+        dom_copies, cod_copies, blocks = real_table(spec, variant, spots_of, p)
+        target = state["target"]
+        if fault == "entry" and target is not None and target[0] == p:
+            blocks = dict(blocks)
+            key = list(blocks)[target[1]]
+            g = blocks[key]
+            blocks[key] = (g[0] + 1,) + g[1:]
+        return dom_copies, cod_copies, blocks
 
     def certified(dp, dnext):
         raise _Certified
 
     monkeypatch.setattr(gwa.complexes, "assemble_total_matrix", assemble)
     monkeypatch.setattr(gwa.complexes, "_fill_block", fill)
+    monkeypatch.setattr(gwa.complexes, "_block_table", table)
     monkeypatch.setattr(gwa.complexes, "homology_dim_at", certified)
     pairs = _oracle_pairs(kind, p_max)
-    targets = []
+    targets = [None]
     for p in sorted({q for pair in pairs for q in pair}):
         assemble(spec, kind, p, 0, spec.n + 1)
         targets += [(p, j) for j in range(state["block"][1])]
@@ -263,15 +279,29 @@ def _faulted_block_runs(monkeypatch, spec, kind, p_max):
 
 @pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
 def test_certificate_misses_no_block_fault_the_full_size_check_catches(monkeypatch, kind):
-    """A wrong shift in one block of `_fill_block` bypasses the `_assemble`
-    guard and breaks the lemma's hypothesis.  On h^3 - h at p_max 2, over
-    every block of every degree the oracle reads, the certificate catches
-    exactly the faults that the full-size products of the same pairs at the
-    first D catch."""
+    """A wrong shift in one block of `_fill_block` bypasses the
+    `_block_table` guard and breaks the lemma's hypothesis.  On h^3 - h at
+    p_max 2, over every block of every degree the oracle reads, the
+    certificate catches exactly the faults that the full-size products of
+    the same pairs at the first D catch; with no fault both pass."""
     spec = GWASpec(Poly([0, -1, 0, 1]), ShiftSigma(1))
-    runs = _faulted_block_runs(monkeypatch, spec, kind, 2)
+    runs = _faulted_block_runs(monkeypatch, spec, kind, 2, "shift")
     caught = [block for block, (passed, _) in runs.items() if not passed]
-    assert caught and len(caught) < len(runs)
+    assert runs[None] == (True, True) and caught
+    assert [block for block, (passed, reference) in runs.items() if passed != reference] == []
+
+
+@pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
+def test_certificate_misses_no_table_fault_the_full_size_check_catches(monkeypatch, kind):
+    """A wrong coefficient in one entry of the cached block table reaches
+    every fill of that degree.  On h^3 - h at p_max 2, over every entry of
+    every degree the oracle reads, the certificate catches exactly the
+    faults that the full-size products at the first D catch, and it catches
+    each of them here; with no fault both pass."""
+    spec = GWASpec(Poly([0, -1, 0, 1]), ShiftSigma(1))
+    runs = _faulted_block_runs(monkeypatch, spec, kind, 2, "entry")
+    assert runs.pop(None) == (True, True)
+    assert runs and all(not passed for passed, _ in runs.values())
     assert [block for block, (passed, reference) in runs.items() if passed != reference] == []
 
 
@@ -281,7 +311,7 @@ def _central_difference(bound: int) -> TruncatedMap:
     space = TruncatedSpace(None, 1, bound)
     rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
     for g, c in ((1, -1), (-2, 0), (1, 1)):
-        gwa.complexes._fill_block(rows, space, space, 0, 0, Poly.const(g), c)
+        gwa.complexes._fill_block(rows, space, space, 0, 0, (g,), c)
     return TruncatedMap(space, space, rows)
 
 
@@ -307,6 +337,8 @@ def _add_a_term_of_shift_two(monkeypatch):
         return table
 
     monkeypatch.setattr(gwa.complexes, "_dce_terms", widened)
+    # The block tables were built from the unwidened terms.
+    gwa.complexes._block_tables.cache_clear()
 
 
 @pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
@@ -321,6 +353,86 @@ def test_a_block_shift_beyond_the_certified_bound_raises(monkeypatch, kind):
         assemble_total_matrix(SQFREE, kind, p, 4, 4 + m)
     with pytest.raises(InternalConsistencyError, match="shift 2 exceeds"):
         oracle_dims(SQFREE, kind, 2)
+
+
+def _clear_table_caches():
+    """Empty the one-algebra caches that a block table is built from."""
+    import gwa.algebra
+
+    for cache in (gwa.complexes._block_tables, gwa.complexes._dce_terms,
+                  gwa.complexes._df_terms, gwa.algebra._shifted_a):
+        cache.cache_clear()
+
+
+TABLE_KEYS = [(variant, spots_of, p) for p in range(-1, 6)
+              for variant in ("homology", "cohomology")
+              for spots_of in (gwa.complexes.spots, gwa.complexes._row_spots)]
+
+
+def test_each_cached_block_table_is_its_own_build(suite):
+    """Read in turn for both variants, both kinds of spots and degrees
+    -1..5, every cached table equals a fresh build of its own key; the
+    variants' tables differ."""
+    cx = gwa.complexes
+    for spec in suite[:8]:
+        normal = cx._normalized(spec)
+        _clear_table_caches()
+        for key in TABLE_KEYS:
+            assert cx._block_table(normal, *key) == cx._build_block_table(normal, *key), key
+        assert cx._block_table(normal, "homology", cx.spots, 2) \
+            != cx._block_table(normal, "cohomology", cx.spots, 2)
+
+
+def _fractions_built(run) -> int:
+    """The number of `Fraction`s constructed while `run()` runs."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 builds results there
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    built = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            built[0] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(outer)
+    return built[0]
+
+
+def test_block_tables_of_the_normal_form_are_built_over_z(suite):
+    """On the integral normal form a table build, its term tables and its
+    peeled shifts of a included, constructs no `Fraction`, and every shift
+    and coefficient of the tables is an int."""
+    cx = gwa.complexes
+    for spec in suite:
+        normal = cx._normalized(spec)
+        _clear_table_caches()
+        assert _fractions_built(lambda: [cx._block_table(normal, *key) for key in TABLE_KEYS]) == 0
+        for key in TABLE_KEYS:
+            _, _, blocks = cx._block_table(normal, *key)
+            assert all(type(c) is int and all(type(v) is int for v in g)
+                       for (_, _, c, _), g in blocks.items()), (spec.a, key)
+    # The probe sees a construction where there is one.
+    assert _fractions_built(lambda: Poly([Fraction(1, 2)]) * Fraction(2, 3)) > 0
+
+
+def test_a_block_table_of_an_integral_spec_off_z_raises(monkeypatch):
+    """On an integral spec a coefficient that is not an int raises."""
+    real = gwa.complexes._dce_terms
+
+    def halved(spec):
+        table = dict(real(spec))
+        table[("x",)] = [(u * Fraction(1, 2), slot, v) for u, slot, v in table[("x",)]]
+        return table
+
+    monkeypatch.setattr(gwa.complexes, "_dce_terms", halved)
+    gwa.complexes._block_tables.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="not over Z"):
+        assemble_total_matrix(SQFREE, HOMOLOGY, 1, 4, 7)
 
 
 @pytest.mark.parametrize("kind, schedule", [

@@ -143,3 +143,95 @@ def test_xgcd_identity(p, q):
     g, s, t = poly_xgcd(p, q)
     assert s * p + t * q == g
     assert g == gcd_monic(p, q)
+
+
+# Integral coefficients are stored as ints ------------------------------------
+
+mixed_scalars = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    # An integral Fraction, which a Poly must store as its numerator.
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+)
+mixed_polys = st.lists(mixed_scalars, max_size=5).map(Poly)
+nonzero_mixed = mixed_polys.filter(lambda p: not p.is_zero())
+
+
+def stored_exactly(p: Poly) -> bool:
+    """Every coefficient is an int, or a `Fraction` that is not an integer;
+    so no float and no integral `Fraction`."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.coeffs)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = Poly([Fraction(4, 2), Fraction(1, 2), 3, Fraction(0)])
+    assert p.coeffs == (2, Fraction(1, 2), 3)
+    assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+    assert type(Poly.const(Fraction(-3)).leading()) is int
+    assert (Poly([Fraction(1, 2)]) * 2).coeffs == (1,) and type((Poly([Fraction(1, 2)]) * 2)[0]) is int
+    assert H[5] == 0 and type(H[5]) is int
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mixed_polys, mixed_polys, mixed_scalars)
+def test_ring_operations_store_integral_results_as_ints(p, q, c):
+    for r in (p + q, p - q, -p, p * q, p * c, p.derivative(), p ** 2):
+        assert stored_exactly(r), r
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mixed_polys, nonzero_mixed)
+def test_division_and_gcds_stay_exact(p, q):
+    quot, rem = divmod(p, q)
+    assert stored_exactly(quot) and stored_exactly(rem)
+    assert quot * q + rem == p and rem.degree < q.degree
+    assert stored_exactly(q.monic()) and q.monic().leading() == 1
+    if not p.is_zero():
+        g = gcd_monic(p, q)
+        assert stored_exactly(g)
+        g2, s, t = poly_xgcd(p, q)
+        assert all(stored_exactly(r) for r in (g2, s, t))
+        assert g2 == g and s * p + t * q == g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6).map(Poly),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6).map(Poly))
+def test_integer_division_by_a_unit_stays_over_z(p, q):
+    """Over Z a divisor with leading coefficient 1 or -1 divides in int
+    arithmetic: quotient and remainder are over Z."""
+    if q.is_zero():
+        return
+    q = q - Poly.monomial(q.degree, q.leading() - 1)  # leading coefficient 1
+    quot, rem = divmod(p, q)
+    assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+
+
+def horner(p: Poly, scale, shift) -> Poly:
+    """p(scale*h + shift) by Horner's rule on `Poly` products: the
+    reference for `compose_affine`."""
+    arg = Poly((shift, scale))
+    out = Poly()
+    for c in reversed(p.coeffs):
+        out = out * arg + c
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mixed_polys, mixed_scalars.filter(lambda s: s != 1 and s != 0),
+       mixed_scalars.filter(lambda c: c != 0))
+def test_compose_affine_shifts_then_scales(p, scale, shift):
+    """p(s*h + c) with s != 1 and c != 0 together equals the Horner
+    reference: a shift and a scale, in that order."""
+    got = p.compose_affine(scale, shift)
+    assert got == horner(p, scale, shift)
+    assert stored_exactly(got)
+
+
+def test_compose_affine_examples():
+    # (2h + 1)^2 = 4h^2 + 4h + 1, where scaling first would give (2(h + 1))^2.
+    assert (H ** 2).compose_affine(2, 1) == Poly([1, 4, 4])
+    assert (H ** 3 - H).compose_affine(-1, 3) == horner(H ** 3 - H, -1, 3)
+    assert Poly([Fraction(1, 2), 0, 1]).compose_affine(Fraction(1, 3), Fraction(-2)) \
+        == Poly([Fraction(9, 2), Fraction(-4, 3), Fraction(1, 9)])

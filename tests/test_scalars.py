@@ -215,3 +215,36 @@ def test_product_matches_reduced_raw_product(order):
     x = draw()
     assert (x * q).coeffs == tuple(c * q for c in x.coeffs)
     assert all(type(c) is Fraction for c in (x * 0).coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 12])
+def test_division_by_a_rational_scales_the_coefficients(order, monkeypatch):
+    """x / c equals x * (1/c) for an int or `Fraction` c, and for c as a
+    rational `Cyclotomic`; so does a product with a rational `Cyclotomic`.
+    None of them takes an inverse or a ring product."""
+    rng = random.Random(order)
+    d = euler_phi(order)
+    x = Cyclotomic(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)])
+    divisors = [3, -7, Fraction(2, 5), Fraction(-9, 4), Fraction(6)]
+    monkeypatch.setattr(Cyclotomic, "inverse", lambda self: pytest.fail("inverse taken"))
+    for c in divisors:
+        want = x * Fraction(1, c) if isinstance(c, int) else x * (1 / c)
+        assert x / c == want and want.coeffs == tuple(v / c for v in x.coeffs)
+        assert all(type(v) is Fraction for v in (x / c).coeffs)
+        rational = Cyclotomic.from_rational(order, c)
+        assert x / rational == want
+        assert x * rational == rational * x == x * c
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Cyclotomic.from_rational(order, 0)
+
+
+def test_division_across_orders_is_rejected():
+    """A rational divisor scales at any order, but a `Cyclotomic` divisor of
+    another order is rejected, as it is in every other operation."""
+    with pytest.raises(ScalarFieldError):
+        zeta(5) / Cyclotomic.from_rational(3, 2)
+    with pytest.raises(ScalarFieldError):
+        zeta(5) / zeta(12)
+    assert zeta(5) / Fraction(1, 2) == zeta(5) * 2
