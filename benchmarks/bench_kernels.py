@@ -8,9 +8,11 @@ degrees 1, 2 and 3 of both variants (homology, cohomology) for each
 polynomial of `POLYS`, at the bounds the oracle assembles for the default
 schedule's second D: domain bound D + n + 1, codomain bound D + 2(n + 1).
 Over Q the complexes are untwisted; over zeta3 and zeta5 they carry the
-torus twist w = zeta_m.  Each run passes every map to
-`gwa.linalg.rank_rows(rows, ncols, order)`, the elimination behind every
-rank (row scaling included).  For each field it prints the median of 7 runs,
+torus twist w = zeta_m.  Each run ranks a fresh copy of every map, one
+with no kept pivots, by `TruncatedMap.rank()`: the oracle's own
+elimination of an assembled map, whatever the format of its cells (a tree
+whose maps hold field scalars scales their rows first, one whose maps hold
+ring elements does not).  For each field it prints the median of 7 runs,
 with every sample, the number of maps, their cells and the sum of their
 ranks, which must agree between two code bases for their times to be
 compared.  `--src`, `--label` and `--out` work as in `bench_assembly.py`.
@@ -26,6 +28,7 @@ other, in ABBA order, to compare them.
 
 from __future__ import annotations
 
+import copy
 import statistics
 import sys
 from fractions import Fraction
@@ -61,17 +64,23 @@ def assembled_maps(order: int | None) -> list:
     return out
 
 
+def fresh(tm):
+    """A copy of the map `tm` without its kept pivots, so that its `rank()`
+    eliminates the whole matrix again."""
+    out = copy.copy(tm)
+    out._pivots = None
+    return out
+
+
 def main() -> int:
     args = arguments(__doc__).parse_args()
-    gwa = import_gwa(args.src)
-    import gwa.linalg
+    import_gwa(args.src)
 
     fields = {}
     for name, order in FIELDS.items():
         maps = assembled_maps(order)
         with calibrate.Gauge() as gauge:
-            runs = [gauge.timed(lambda: sum(gwa.linalg.rank_rows(tm.rows, tm.domain.dim, order)
-                                            for tm in maps))
+            runs = [gauge.timed(lambda: sum(fresh(tm).rank() for tm in maps))
                     for _ in range(RUNS)]
         ranks, samples = zip(*runs)
         fields[name] = {

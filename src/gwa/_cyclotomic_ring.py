@@ -3,15 +3,14 @@ cyclotomic product runs in.
 
 Over Q the ring is Z, the cyclotomic ring of order 1 (Phi_1 = t - 1), with
 bare ints as elements; over Q(zeta_m) of degree d >= 2 it is Z[z]/Phi_m,
-with integer d-tuples.  `ring(order)` builds each once.  The ring is the
-one place that knows this element format and Phi_m: `Cyclotomic`, the
-field of fractions, reduces its coefficients through the ring's table of
-reduced powers and multiplies and inverts through `scale` and `mul`.
-`CyclotomicIntegers.scale` turns field scalars into ring elements, for
-every row an elimination or a d o d product takes and for every
-`Cyclotomic` product; `combine` is the Bareiss step of every elimination,
-and `axpy` the multiply-add of every d o d product.  `gwa.linalg` and
-`gwa.scalars` import this module on first use, not with the package.
+with integer d-tuples, the cells of every `gwa.linalg.TruncatedMap`.
+`ring(order)` builds each once; it is the one place that knows Phi_m.
+`scale` turns field scalars into elements, for `Cyclotomic` (the field
+of fractions, which multiplies and inverts through `scale` and `mul`),
+`rank_rows`, `kernel_raw` and the public `TruncatedMap` constructor.
+`combine` is the Bareiss step of every elimination, and `axpy` the
+multiply-add of every d o d product.  `gwa.linalg` and `gwa.scalars`
+import this module on first use.
 """
 
 from __future__ import annotations
@@ -69,7 +68,9 @@ class CyclotomicIntegers:
 
     def scale(self, values):
         """(den, elements): `values`, a row of field scalars, times den, the
-        lcm of all their coefficient denominators, as elements of this ring.
+        lcm of all their coefficient denominators, as elements of this ring;
+        for `Cyclotomic`, `rank_rows`, `kernel_raw` and the public
+        `TruncatedMap` constructor (the oracle's maps never take it).
 
         Entries may be ints, `Fraction`s, `Cyclotomic`s of this ring's
         order and rational `Cyclotomic`s of any order; any other

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .algebra import GWAElement, GWASpec, Torus, commutator
 from .errors import HypothesisError, InputError, InternalConsistencyError
@@ -49,6 +50,7 @@ from .linalg import (
     StabilizedDim,
     TruncatedMap,
     TruncatedSpace,
+    _ring,
     compose_is_zero,
     homology_dim_at,
     rank_rows,
@@ -271,50 +273,37 @@ def _poly_at(value: GWAElement, weight: int) -> Poly:
     return value.coefficient(weight)
 
 
-def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_coeffs, c,
-                scale=None):
-    """Add the block of p |-> scale * g * p(h - c) between two k[h] copies,
-    g the polynomial of the coefficients `g_coeffs`; no `scale` means 1.
+def _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_coeffs, c, s):
+    """Add the block of p |-> s * g * p(h - c) between two k[h] copies, g the
+    polynomial of the coefficients `g_coeffs` and s an element of the map's
+    ring: an int over Z (folded into g), an int d-tuple over Z[zeta_m].
 
     Column e is the image of h^e, g * (h - c)^e, of degree deg(g) + e, each
     built from the previous one on plain coefficient lists: int arithmetic
-    on the normal form, whatever the field.  `scale` is a cyclotomic w^k
-    (`_fill` folds a rational one into g): each value is turned into a cell
-    as it is written, from the coefficient tuple of w^k, with no field
-    multiplication.
+    on the normal form, whatever the field.  Each value v is added into its
+    cell as it is, or as the tuple v * s, coefficient by coefficient.
     """
-    if not g_coeffs:
-        return
     top = len(g_coeffs) - 1 + dom_space.degree_bound
     if top > cod_space.degree_bound:
         raise InternalConsistencyError(
             f"image degree {top} overflows codomain bound {cod_space.degree_bound}"
         )
-    if scale is None:
-        def cells(values):
-            return values
-    else:
-        order, coeffs = scale.order, scale.coeffs
-
-        def cells(values):
-            return [Cyclotomic._make(order, tuple(v * t for t in coeffs)) if v else v
-                    for v in values]
+    tupled = type(s) is tuple
     dom_copies, cod_copies = dom_space.copies, cod_space.copies
-    cur = list(g_coeffs)
-    values = cells(cur)
+    cur = list(g_coeffs) if tupled else [v * s for v in g_coeffs]
     for e in range(dom_space.degree_bound + 1):
         if e and c:
             # Multiply by (h - c): new[i] = cur[i-1] - c * cur[i].
             cur = [-c * cur[0]] + [a - c * b for a, b in zip(cur, cur[1:])] + [cur[-1]]
-            values = cells(cur)
         col = e * dom_copies + copy_dom
         # Without a shift, column e is g moved up by e degrees.
-        for deg, v in enumerate(values, 0 if c else e):
+        for deg, v in enumerate(cur, 0 if c else e):
             if v:
-                # Storing v into an empty cell skips an exact 0 + v addition.
                 row = rows[deg * cod_copies + copy_cod]
-                cell = row[col]
-                row[col] = cell + v if cell else v
+                if tupled:
+                    row[col] = tuple(map(add, row[col], map(v.__mul__, s)))
+                else:
+                    row[col] += v
 
 
 def _element_weight(u: GWAElement) -> int:
@@ -444,27 +433,38 @@ def _fill(table, kind: ComplexKind, b_dom: int, b_cod: int) -> TruncatedMap:
     """The map of the block table `table` under the twist of `kind`,
     truncated at domain and codomain degree bounds (b_dom, b_cod).
 
-    Rows start as int zeros.  On the integral normal form every cell is an
-    int over Q and for w = -1; over a field of higher degree the cells the
-    twist scales are `Cyclotomic`s and the others ints.  A rational twist
-    whose powers w^k are not all integers (w = 1/2, or w = 2, whose weight
-    -1 blocks take 1/2) leaves `Fraction`s in the blocks it scales.
+    On the integral normal form with w a unit (-1 or a root of unity, as on
+    every CLI run), each w^k is a ring element (`_units`) and the cells are
+    written as ring elements: no `Cyclotomic` or `Fraction` is built.
+    Otherwise (w = 2 or 1/2, or off the normal form) the blocks fill field
+    scalars, which the public `TruncatedMap` clears by one lcm.
     """
     dom_copies, cod_copies, blocks = table
-    dom_space = TruncatedSpace(kind.field_order, dom_copies, b_dom)
-    cod_space = TruncatedSpace(kind.field_order, cod_copies, b_cod)
-    rows = [[0] * dom_space.dim for _ in range(cod_space.dim)]
-    twist = kind.twist
-    scales = {} if twist is None else {
-        weight: exact(twist.w ** weight) for *_, weight in blocks if weight}
+    order, twist = kind.field_order, kind.twist
+    ring = _ring(order)
+    dom_space = TruncatedSpace(order, dom_copies, b_dom)
+    cod_space = TruncatedSpace(order, cod_copies, b_cod)
+    units = dict.fromkeys((-1, 0, 1), ring.one) if twist is None else _units(ring, twist.w)
+    integral = units is not None and all(
+        weight in units and type(c) is int and all(type(v) is int for v in g)
+        for (_, _, c, weight), g in blocks.items())
+    rows = [[ring.zero if integral else 0] * dom_space.dim for _ in range(cod_space.dim)]
     for (copy_dom, copy_cod, c, weight), g_coeffs in blocks.items():
-        scale = scales.get(weight)
-        if scale is not None and not isinstance(scale, Cyclotomic):
-            # A rational scalar costs nothing folded into the polynomial;
-            # an integral one (w = -1) keeps it over Z.
-            g_coeffs, scale = (Poly(g_coeffs) * scale).coeffs, None
-        _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_coeffs, c, scale)
-    return TruncatedMap(dom_space, cod_space, rows)
+        if not integral and twist is not None:
+            g_coeffs = [v * twist.w ** weight for v in g_coeffs]
+        _fill_block(rows, dom_space, cod_space, copy_dom, copy_cod, g_coeffs, c,
+                    units[weight] if integral else 1)
+    return (TruncatedMap._of if integral else TruncatedMap)(dom_space, cod_space, rows)
+
+
+def _units(ring, w) -> dict | None:
+    """{k: w^k} for k = -1, 0, 1 in `ring` if w is a unit of it, else None:
+    1/w is w's cofactor beyond Z, where norms are positive, and w in Z."""
+    coeffs = w.coeffs if isinstance(w, Cyclotomic) else (w,)
+    q = coeffs[0].numerator if ring.degree == 1 else tuple(v.numerator for v in coeffs)
+    if any(v.denominator != 1 for v in coeffs) or abs(ring.norm(q, ring.cofactor(q))) != 1:
+        return None
+    return {-1: q if ring.degree == 1 else ring.cofactor(q), 0: ring.one, 1: q}
 
 
 def _check_d_squared(kind: ComplexKind, pairs, map_out, margin: int) -> None:
@@ -606,11 +606,9 @@ def _stabilized_homology(kind: ComplexKind, assemble, reported: int,
     a degree is assembled at the certificate's bounds only if its first
     assembly is smaller than them.
 
-    The check also makes the rank of each slice the number of the
-    assembly's pivot columns inside the slice's columns.  So each assembly
-    that is ranked is eliminated once, the first time one of its slices is
-    ranked, and the outgoing and incoming ranks at every later D it covers
-    are pivot counts.  Only the ranks of N_top take an elimination per D.
+    The check also makes each slice's rank a count of the assembly's pivot
+    columns (`TruncatedMap.rank`), so each ranked assembly is eliminated
+    once.  Only the ranks of N_top take an elimination per D.
     """
     assembled: dict[int, TruncatedMap] = {}
     step = 1 if kind.variant == "homology" else -1

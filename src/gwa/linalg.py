@@ -4,28 +4,21 @@ A truncated space is a finite sum of copies of k[h] cut off at a degree
 bound; every dimension count in the package reduces to ranks of exact
 matrices between such spaces.  Every field takes the same steps over its
 ring of integers (`_ring`: Z over Q, Z[zeta_m] over every other field; the
-arithmetic is `gwa._cyclotomic_ring`'s).  Every rank is computed
-fraction-free: the ring's one scaling routine, `scale`, turns each row into
-ring elements (bare ints over Q, integer coefficient d-tuples over
-Q(zeta_m) of degree d >= 2), and the one Bareiss kernel of
-`gwa._rankcore_py`, `echelon_cyclo`, eliminates them, scaling the rows a
-stage leaves idle lazily.  The exact d o d = 0 test (`compose_is_zero`)
-scales the outer map's rows the same way, each by its own integer, and the
-whole inner matrix by one, and multiplies in the same ring, with its
-`axpy`.  The scaling contract: each row, and the inner matrix as a whole,
-is multiplied by a positive integer, the lcm of its coefficient
-denominators, and no `Fraction` is built on the way; so ranks, and whether
-a product is zero, are unchanged.  The oracle's matrices over Q have int
-cells (`gwa.complexes._assemble`), so over Q a row of plain ints is scaled
-by 1 and passed on as it is.
-The oracle runs that test once per call, on exactly the pairs of maps that
-its `homology_dim_at` calls read, and on small matrices only: the inner map
-at domain degree bound 4 and the outer one at 4 plus the margin.  Each
-block of an assembled map shifts by at most one step, so a product that
-kills the columns of degree <= 4 is zero at every bound
-(`gwa.complexes._check_d_squared` states the lemma and its limits).
-The Bareiss kernel is the only elimination in the package: the null-space
-basis of `kernel_raw` is back-substituted in its echelon rows.
+arithmetic is `gwa._cyclotomic_ring`'s), and the one Bareiss kernel of
+`gwa._rankcore_py`, `echelon_cyclo`, is the only elimination in the
+package, scaling the rows a stage leaves idle lazily; the null-space basis
+of `kernel_raw` is back-substituted in its echelon rows.
+
+The cell contract: a `TruncatedMap` holds elements of its field's ring,
+bare ints over Q and integer d-tuples over Q(zeta_m) of degree d >= 2: the
+map's matrix times the lcm of all its entries' denominators (1 on the
+oracle's normal form).  Ranks, pivot columns and zero products are the
+map's, so `TruncatedMap.rank`, the N_top rank of `homology_dim_at` and the
+exact d o d = 0 test (`compose_is_zero`, with the ring's `axpy`; see
+`gwa.complexes._check_d_squared` for the bound it runs at) take the rows
+as they are.  Only `rank_rows`, `kernel_raw` and the public `TruncatedMap`
+constructor take field scalars, which the ring's `scale` turns into ring
+elements.
 
 A map's rank is the number of its pivot columns, found by one elimination
 and kept (`TruncatedMap.rank`).  Every elimination picks pivots column by
@@ -47,6 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from . import _rankcore_py as _kernels
 from .errors import InputError, InternalConsistencyError, StabilizationError
@@ -79,22 +73,32 @@ class TruncatedSpace:
 
 
 class TruncatedMap:
-    """Exact dense matrix of a linear map between truncated spaces.
-
-    A map cut by `truncate` remembers the map it was cut from, whose one
-    elimination gives the ranks of all its slices (`rank`).
+    """Exact dense matrix of a linear map between truncated spaces, in the
+    cell format of the module docstring; `_den` is the lcm its matrix was
+    multiplied by.  The constructor converts rows of field scalars by the
+    ring's `scale`; `_of` takes ring elements.  A map cut by `truncate`
+    remembers the map it was cut from, whose one elimination gives the
+    ranks of all its slices (`rank`).
     """
 
-    __slots__ = ("domain", "codomain", "rows", "_source", "_pivots")
+    __slots__ = ("domain", "codomain", "rows", "_den", "_source", "_pivots")
 
     def __init__(self, domain: TruncatedSpace, codomain: TruncatedSpace, rows):
         if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
             raise InputError("matrix shape does not match the declared spaces")
-        self.domain = domain
-        self.codomain = codomain
-        self.rows = rows
-        self._source = None
-        self._pivots = None
+        den, flat = _ring(codomain.field_order or domain.field_order).scale(
+            [v for row in rows for v in row])
+        self.domain, self.codomain, self._den = domain, codomain, den
+        self.rows = [flat[i * domain.dim:(i + 1) * domain.dim] for i in range(len(rows))]
+        self._source = self._pivots = None
+
+    @classmethod
+    def _of(cls, domain: TruncatedSpace, codomain: TruncatedSpace, rows, den=1):
+        """The map whose cells are `rows`, its matrix times `den`."""
+        self = object.__new__(cls)
+        self.domain, self.codomain, self.rows, self._den = domain, codomain, rows, den
+        self._source = self._pivots = None
+        return self
 
     @property
     def field_order(self) -> int | None:
@@ -120,25 +124,28 @@ class TruncatedMap:
             return self
         dom = TruncatedSpace(self.domain.field_order, self.domain.copies, b_dom)
         cod = TruncatedSpace(self.codomain.field_order, self.codomain.copies, b_cod)
-        ncols, nrows = dom.dim, cod.dim
+        ncols, nrows, ring = dom.dim, cod.dim, _ring(self.field_order)
         for row in islice(self.rows, nrows, None):
-            if any(islice(row, ncols)):
+            if row[:ncols].count(ring.zero) != ncols:
                 raise InternalConsistencyError(
                     f"truncating to ({b_dom}, {b_cod}) drops a nonzero entry "
                     f"of a kept column"
                 )
-        cut = TruncatedMap(dom, cod, [row[:ncols] for row in self.rows[:nrows]])
+        rows, den = [row[:ncols] for row in self.rows[:nrows]], self._den
+        if den != 1:
+            # The slice's own lcm is den over its gcd with every coefficient.
+            g = gcd(den, *(gcd(*v) if type(v) is tuple else v for row in rows for v in row))
+            rows = [[ring.exact(v, g) for v in row] for row in rows]
+            den //= g
+        cut = TruncatedMap._of(dom, cod, rows, den)
         cut._source = self._source or self
         return cut
 
     def _pivot_columns(self) -> list[int]:
-        """The pivot columns of the field's elimination (`_eliminate`) of
-        the whole matrix, computed on the first call and kept."""
+        """The pivot columns of the Bareiss elimination (`_echelon`) of the
+        whole matrix, computed on the first call and kept."""
         if self._pivots is None:
-            if self.rows and self.domain.dim:
-                self._pivots = _eliminate(self.rows, self.domain.dim, self.field_order)[1]
-            else:
-                self._pivots = []
+            self._pivots = _echelon(self.rows, self.domain.dim, _ring(self.field_order))[1]
         return self._pivots
 
     def rank(self) -> int:
@@ -163,28 +170,27 @@ def _ring(field_order):
 # Elimination ----------------------------------------------------------------
 
 
-def _eliminate(rows, ncols, field_order):
-    """(rank, pivot_columns, echelon_rows) of the rows, by the Bareiss kernel
-    over the field's ring.
-
-    Each row is turned into ring elements by the ring's `scale`, times its
-    own positive integer.  The kernel is looked up on `_kernels` at each
-    call, so a wrapper installed there later still sees every call; the call
-    goes through the name `echelon_int` over Z and `echelon_quad` for
-    degree 2, both `echelon_cyclo` again.
-    """
-    ring = _ring(field_order)
-    rows = [ring.scale(row)[1] for row in rows]
+def _echelon(rows, ncols, ring):
+    """(rank, pivot_columns, echelon_rows) of rows of `ring`'s elements by
+    the Bareiss kernel, looked up on `_kernels` at each call for the
+    tracer's sake: as `echelon_int` over Z and `echelon_quad` for degree 2,
+    both `echelon_cyclo` again.  No rows or no columns take no elimination."""
+    if not rows or not ncols:
+        return 0, [], []
     if ring.degree == 1:
         return _kernels.echelon_int(rows, ncols)
     echelon = _kernels.echelon_quad if ring.degree == 2 else _kernels.echelon_cyclo
     return echelon(rows, ncols, ring)
 
 
+def _eliminate(rows, ncols, field_order):
+    """`_echelon` of rows of field scalars, each scaled by the ring's `scale`."""
+    ring = _ring(field_order)
+    return _echelon([ring.scale(row)[1] for row in rows], ncols, ring)
+
+
 def rank_rows(rows, ncols, field_order=None) -> int:
     """Rank of a matrix given as rows of exact scalars."""
-    if not rows or ncols == 0:
-        return 0
     return _eliminate(rows, ncols, field_order)[0]
 
 
@@ -327,32 +333,26 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
         raise InputError("homology spaces disagree on the number of k[h] copies")
     if dp.domain.degree_bound > dnext.codomain.degree_bound:
         raise InputError("kernel space must embed in the boundary codomain")
-    order = dp.field_order or dnext.field_order
     low = dp.domain.dim
     return (low - dp.rank() - dnext.rank()
-            + rank_rows(dnext.rows[low:], dnext.domain.dim, order))
+            + _echelon(dnext.rows[low:], dnext.domain.dim, _ring(dnext.field_order))[0])
 
 
 def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
-    """Exact check that outer o inner = 0, multiplied in the field's ring.
-
-    Each row of outer is scaled by the ring's `scale`, and the whole inner
-    matrix, as one long row, by one positive integer; see the scaling
-    contract in the module docstring.  Each row of the product is then
-    accumulated by the ring's `axpy` from the rows of inner at the nonzeros
-    of a row of outer, so only structural nonzeros are multiplied.
-    """
+    """Exact check that outer o inner = 0, multiplied in the field's ring
+    on the cells as they are (the cell contract in the module docstring).
+    Each row of the product is accumulated by the ring's `axpy` from the
+    rows of inner at the nonzeros of a row of outer, so only structural
+    nonzeros are multiplied."""
     if inner.codomain.dim != outer.domain.dim:
         raise InputError("composition shape mismatch")
-    ring = _ring(outer.field_order or inner.field_order)
-    axpy, zero, scale = ring.axpy, ring.zero, ring.scale
+    ring = _ring(outer.field_order)
+    axpy, zero = ring.axpy, ring.zero
     width = inner.domain.dim
-    flat = scale([v for row in inner.rows for v in row])[1]
-    inner_sparse = [[(t, x) for t, x in enumerate(flat[i * width:(i + 1) * width])
-                     if x != zero] for i in range(len(inner.rows))]
+    inner_sparse = [[(t, x) for t, x in enumerate(row) if x != zero] for row in inner.rows]
     for row in outer.rows:
         acc = [zero] * width
-        for p, b in zip(scale(row)[1], inner_sparse):
+        for p, b in zip(row, inner_sparse):
             if p != zero:
                 axpy(acc, p, b)
         if acc.count(zero) != width:

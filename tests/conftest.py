@@ -1,5 +1,6 @@
 """Shared fixtures: the standard polynomial suite used across the tests,
-and the test-only check `h0_basis_independent`.
+the test-only check `h0_basis_independent`, and `field_matrix`, a map's
+cells as field scalars.
 
 The suite mixes squarefree and engineered multiple-root polynomials of
 degrees one through five with the three shift steps exercised everywhere.
@@ -11,8 +12,9 @@ import pytest
 
 from gwa.algebra import GWASpec
 from gwa.invariants import _h0_relators, _relator_rows
-from gwa.linalg import rank_rows
+from gwa.linalg import _ring, rank_rows
 from gwa.poly import ShiftSigma, parse_poly
+from gwa.scalars import Cyclotomic
 
 SUITE_TEXT = [
     ("h", "1"),
@@ -67,3 +69,13 @@ def h0_basis_independent(spec: GWASpec, d: int | None = None) -> bool:
     for j in range(n - 1):
         rows.append([1 if k == j else 0 for k in range(d + 1)])
     return rank_rows(rows, d + 1, None) == base + (n - 1)
+
+
+def field_matrix(tm):
+    """The cells of the map `tm`, elements of its field's ring, as scalars
+    of the field: ints over Q as they are, `Cyclotomic`s otherwise.  They
+    are the stored matrix, the map's matrix times a positive integer, so
+    ranks and zero products are the map's."""
+    if _ring(tm.field_order).degree == 1:
+        return tm.rows
+    return [[Cyclotomic(tm.field_order, v) for v in row] for row in tm.rows]

@@ -2,7 +2,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import field_matrix
 
+from gwa._cyclotomic_ring import CyclotomicIntegers
 from gwa.algebra import GWASpec, Torus, apply_automorphism
 import gwa.complexes
 from gwa.complexes import (
@@ -31,7 +33,7 @@ from gwa.linalg import (
     rank_rows,
 )
 from gwa.poly import Poly, ShiftSigma, gcd_monic, sigma_pow
-from gwa.scalars import zeta
+from gwa.scalars import Cyclotomic, zeta
 
 H = Poly.gen()
 WEYL = GWASpec(H, ShiftSigma(1))
@@ -158,8 +160,8 @@ def test_d_compose_d_zero_all_kinds():
 
 def _product_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:
     """outer o inner = 0, as a plain product of the cells in the field."""
-    inner_rows = [[(t, v) for t, v in enumerate(row) if v] for row in inner.rows]
-    for row in outer.rows:
+    inner_rows = [[(t, v) for t, v in enumerate(row) if v] for row in field_matrix(inner)]
+    for row in field_matrix(outer):
         acc = {}
         for j, c in enumerate(row):
             if c:
@@ -236,11 +238,11 @@ def _faulted_block_runs(monkeypatch, spec, kind, p_max, fault):
         state["block"] = [p, 0]
         return real_assemble(spec, kind, p, b_dom, b_cod)
 
-    def fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, scale=None):
+    def fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, s):
         if fault == "shift" and tuple(state["block"]) == state["target"]:
             c += 1
         state["block"][1] += 1
-        real_fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, scale)
+        real_fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, s)
 
     def table(spec, variant, spots_of, p):
         dom_copies, cod_copies, blocks = real_table(spec, variant, spots_of, p)
@@ -307,11 +309,12 @@ def test_certificate_misses_no_table_fault_the_full_size_check_catches(monkeypat
 
 def _central_difference(bound: int) -> TruncatedMap:
     """p |-> p(h + 1) - 2 p(h) + p(h - 1) on k[h] at degree bound `bound`:
-    three blocks with the shifts -1, 0 and 1."""
+    three blocks with the shifts -1, 0 and 1, each scaled by 1, the one
+    of Z."""
     space = TruncatedSpace(None, 1, bound)
-    rows = [[Fraction(0)] * space.dim for _ in range(space.dim)]
+    rows = [[0] * space.dim for _ in range(space.dim)]
     for g, c in ((1, -1), (-2, 0), (1, 1)):
-        gwa.complexes._fill_block(rows, space, space, 0, 0, (g,), c)
+        gwa.complexes._fill_block(rows, space, space, 0, 0, (g,), c, 1)
     return TruncatedMap(space, space, rows)
 
 
@@ -388,6 +391,12 @@ def _fractions_built(run) -> int:
     codes = {Fraction.__new__.__code__}
     if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 builds results there
         codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    return _calls_to(codes, run)
+
+
+def _calls_to(codes, run) -> int:
+    """The number of calls of the functions with the code objects `codes`
+    while `run()` runs."""
     built = [0]
 
     def profile(frame, event, arg):
@@ -418,6 +427,50 @@ def test_block_tables_of_the_normal_form_are_built_over_z(suite):
                        for (_, _, c, _), g in blocks.items()), (spec.a, key)
     # The probe sees a construction where there is one.
     assert _fractions_built(lambda: Poly([Fraction(1, 2)]) * Fraction(2, 3)) > 0
+
+
+@pytest.mark.parametrize("order", [3, 5], ids=["zeta3", "zeta5"])
+def test_cyclotomic_constructions_do_not_grow_with_the_bound(order):
+    """The fill turns each w^k into a ring element once and writes int
+    tuples into the cells, so an oracle run over Q(zeta_m) builds as many
+    `Cyclotomic`s from a large first truncation bound as from a small one:
+    none per cell."""
+    codes = {Cyclotomic.__init__.__code__, Cyclotomic._make.__func__.__code__}
+    spec = GWASpec(Poly([0, -1, 0, 1]), ShiftSigma(1))
+    kinds = [ComplexKind(variant, Torus(zeta(order))) for variant in ("homology", "cohomology")]
+
+    def run(start):
+        _clear_table_caches()
+        return [oracle_dims(spec, kind, 2, Schedule(start=start)) for kind in kinds]
+
+    assert run(4)[0] == run(16)[0]
+    assert _calls_to(codes, lambda: run(4)) == _calls_to(codes, lambda: run(16))
+    # The probe sees a construction where there is one.
+    assert _calls_to(codes, lambda: zeta(order) * zeta(order)) > 0
+
+
+@pytest.mark.parametrize("w", [None, Fraction(-1), zeta(3), zeta(5)],
+                         ids=["Q", "w=-1", "zeta3", "zeta5"])
+def test_an_oracle_run_scales_no_row(monkeypatch, w):
+    """The cells are ring elements from the fill to the last rank: the
+    fill, `TruncatedMap.rank`, the N_top ranks of `homology_dim_at` and
+    `compose_is_zero` call no `scale`, and neither does anything else in
+    an oracle run on the normal form."""
+    callers = []
+    real = CyclotomicIntegers.scale
+
+    def scale(ring, values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(ring, values)
+
+    monkeypatch.setattr(CyclotomicIntegers, "scale", scale)
+    for variant in ("homology", "cohomology"):
+        kind = ComplexKind(variant, None if w is None else Torus(w))
+        oracle_dims(CUBIC, kind, 2)
+    assert callers == []
+    # The probe sees a call where there is one.
+    rank_rows([[Fraction(1, 2)]], 1, kind.field_order)
+    assert len(callers) == 1
 
 
 def test_a_block_table_of_an_integral_spec_off_z_raises(monkeypatch):
@@ -534,6 +587,21 @@ def test_slice_that_drops_a_nonzero_entry_raises():
         m.truncate(9, 12)
 
 
+def test_a_zeta3_slice_compares_dropped_cells_with_the_ring_zero():
+    """Over Q(zeta3) a cell is a pair of ints, and the zero pair is truthy:
+    a cut that drops only zero cells is accepted, and one that drops a
+    nonzero cell of a kept column raises."""
+    z = zeta(3)
+    dom, cod = TruncatedSpace(3, 1, 1), TruncatedSpace(3, 1, 2)
+    ok = TruncatedMap(dom, cod, [[1, z], [z, 0], [0, 0]])
+    assert ok.rows[2] == [(0, 0), (0, 0)]
+    assert ok.truncate(1, 1).rows == ok.rows[:2]
+    bad = TruncatedMap(dom, cod, [[1, z], [z, 0], [0, z]])
+    with pytest.raises(InternalConsistencyError, match="drops a nonzero"):
+        bad.truncate(1, 1)
+    assert bad.truncate(0, 1).rows == [[(1, 0)], [(0, 1)]]
+
+
 def _count_assemblies(monkeypatch):
     """Record (degree, b_dom, b_cod) of every assembly the oracle makes."""
     calls = []
@@ -646,7 +714,7 @@ def test_oracle_slice_ranks_are_pivot_counts(monkeypatch, suite, w, n_max):
     def checked(dp, dnext):
         order = dp.field_order or dnext.field_order
         for f in (dp, dnext):
-            assert f.rank() == rank_rows(f.rows, f.domain.dim, order)
+            assert f.rank() == rank_rows(field_matrix(f), f.domain.dim, order)
         slices.append(dp._source is not None)
         return real(dp, dnext)
 

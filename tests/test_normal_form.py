@@ -16,7 +16,7 @@ from gwa.complexes import (
     row_homology_dims,
 )
 from gwa.errors import HypothesisError, InternalConsistencyError
-from gwa.linalg import Schedule, TruncatedSpace
+from gwa.linalg import Schedule, TruncatedMap, TruncatedSpace, _ring
 from gwa.poly import Poly, ShiftSigma
 from gwa.scalars import zeta
 
@@ -77,8 +77,9 @@ def test_normal_form_matrices_have_the_same_pattern_and_pivots(suite, w):
             for p in range(4):
                 raw, new = (assemble_total_matrix(s, kind, p, 4, 4 + spec.n + 1)
                             for s in (spec, normal))
-                assert [[bool(v) for v in row] for row in raw.rows] == \
-                    [[bool(v) for v in row] for row in new.rows]
+                zero = _ring(raw.field_order).zero
+                assert [[v != zero for v in row] for row in raw.rows] == \
+                    [[v != zero for v in row] for row in new.rows]
                 assert raw._pivot_columns() == new._pivot_columns()
 
 
@@ -165,7 +166,8 @@ def _reference_total_matrix(spec, kind, p, b_dom, b_cod):
 def test_block_scalar_equals_twisting_each_term(w):
     """Scaling each block by w^k gives the matrices of twisting every
     term's right factor, in degrees 0..4 and both variants, on the normal
-    form and off it."""
+    form and off it: the reference's field scalars, converted to ring
+    elements by the public `TruncatedMap` constructor, are the cells."""
     specs = [GWASpec(Poly([0, -1, 1, 2]), ShiftSigma(1)),
              GWASpec(Poly([Fraction(1, 3), 0, Fraction(-3, 2)]), ShiftSigma(Fraction(2, 3)))]
     for spec in specs:
@@ -174,7 +176,8 @@ def test_block_scalar_equals_twisting_each_term(w):
             kind = ComplexKind(variant, Torus(w))
             for p in range(5):
                 got = assemble_total_matrix(spec, kind, p, b_dom, b_cod)
-                assert got.rows == _reference_total_matrix(spec, kind, p, b_dom, b_cod), \
+                want = _reference_total_matrix(spec, kind, p, b_dom, b_cod)
+                assert got.rows == TruncatedMap(got.domain, got.codomain, want).rows, \
                     (spec, variant, p)
 
 
@@ -197,33 +200,55 @@ def _fraction_rank(rows) -> int:
     return rank
 
 
-@pytest.mark.parametrize("w", [None, Fraction(-1)], ids=["Q", "-1"])
-def test_normal_form_cells_are_ints(suite, w):
-    """Over Q and for w = -1 every cell the oracle assembles on the
-    integral normal form is a plain int, in degrees 0..3 and both variants."""
+def _is_ring_element(v, degree) -> bool:
+    """Whether `v` is an element of the ring of integers of a field of
+    `degree`: a plain int for degree 1, a `degree`-tuple of ints otherwise."""
+    if degree == 1:
+        return type(v) is int
+    return type(v) is tuple and len(v) == degree and all(type(x) is int for x in v)
+
+
+@pytest.mark.parametrize("w, h0", [
+    (None, None), (Fraction(-1), None), (zeta(3), None), (zeta(4), None), (zeta(5), None),
+    (None, Fraction(1, 2)), (Fraction(2), None), (Fraction(1, 2), None),
+], ids=["Q", "-1", "zeta3", "zeta4", "zeta5", "h0=1/2", "w=2", "w=1/2"])
+def test_normal_form_cells_are_ints(suite, w, h0):
+    """Every cell the oracle assembles on the integral normal form is an
+    element of the field's ring, in degrees 0..3 and both variants: a plain
+    int over Q and for w = -1, a tuple of d ints over Q(zeta_m) of degree d.
+    So are the cells of three maps off the normal form, which the fill
+    clears by one lcm: the normal form's b with h0 = 1/2 (shifts +-1/2),
+    and the twists w = 2 and w = 1/2."""
     for spec in suite:
         normal = cx._normalized(spec)
+        if h0 is not None:
+            normal = GWASpec(normal.a, ShiftSigma(h0))
         for variant in ("homology", "cohomology"):
             kind = ComplexKind(variant, None if w is None else Torus(w))
             for p in range(4):
                 tm = assemble_total_matrix(normal, kind, p, 3, 3 + normal.n + 1)
-                assert all(type(v) is int for row in tm.rows for v in row), \
+                degree = _ring(tm.field_order).degree
+                assert all(_is_ring_element(v, degree) for row in tm.rows for v in row), \
                     (spec.a, variant, p)
 
 
 def _assert_exact_fraction_cells(spec, kind, degrees):
-    """The maps out of `degrees` have int and `Fraction` cells, some of them
-    not integers, equal to the term-by-term `Poly` reference, and each rank
-    equals the `Fraction` reference rank."""
+    """The term-by-term `Poly` reference of the maps out of `degrees` has
+    int and `Fraction` cells, some of them not integers; each assembled
+    map has int cells, the reference cleared by one lcm (the public
+    `TruncatedMap` constructor), and its rank is the `Fraction` reference
+    rank of the reference."""
     fractional = False
     for p in degrees:
         b_dom, b_cod = 3, 3 + spec.n + 1
         tm = assemble_total_matrix(spec, kind, p, b_dom, b_cod)
-        cells = [v for row in tm.rows for v in row]
+        want = _reference_total_matrix(spec, kind, p, b_dom, b_cod)
+        cells = [v for row in want for v in row]
         assert all(type(v) in (int, Fraction) for v in cells)
         fractional |= any(type(v) is Fraction and v.denominator != 1 for v in cells)
-        assert tm.rows == _reference_total_matrix(spec, kind, p, b_dom, b_cod), (spec, p)
-        assert tm.rank() == _fraction_rank(tm.rows), (spec, p)
+        assert all(type(v) is int for row in tm.rows for v in row)
+        assert tm.rows == TruncatedMap(tm.domain, tm.codomain, want).rows, (spec, p)
+        assert tm.rank() == _fraction_rank(want), (spec, p)
     assert fractional
 
 
@@ -231,8 +256,9 @@ def _assert_exact_fraction_cells(spec, kind, degrees):
 @pytest.mark.parametrize("variant", ["homology", "cohomology"])
 def test_rational_twist_with_fractional_powers_keeps_exact_cells(w, variant):
     """w^k folded into a block is not an integer for w = 1/2, nor for w = 2
-    on the blocks of weight -1: those cells stay exact `Fraction`s, and the
-    ranks are those of plain `Fraction` elimination."""
+    on the blocks of weight -1: those maps have `Fraction` entries, which
+    the fill clears exactly into int cells, and the ranks are those of
+    plain `Fraction` elimination."""
     kind = ComplexKind(variant, Torus(w))
     for a in ([0, -1, 0, 1], [-6, 1, 1], [0, 0, 2, 1]):
         _assert_exact_fraction_cells(cx._normalized(GWASpec(Poly(a), ShiftSigma(1))),
@@ -242,7 +268,8 @@ def test_rational_twist_with_fractional_powers_keeps_exact_cells(w, variant):
 @pytest.mark.parametrize("kind", [HOMOLOGY, COHOMOLOGY], ids=["homology", "cohomology"])
 def test_assembly_off_the_normal_form_keeps_a_fractional_shift(kind):
     """Assembled directly on (a, h0) with h0 = 1/2, the shifts c = +-1/2
-    stay `Fraction`s, and every rank is that of the normal form."""
+    stay `Fraction`s, the fill clears the map's `Fraction` entries into int
+    cells, and every rank is that of the normal form."""
     spec = GWASpec(Poly([Fraction(-1, 4), 0, 1]), ShiftSigma(Fraction(1, 2)))
     normal = cx._normalized(spec)
     _assert_exact_fraction_cells(spec, kind, range(1, 4))
