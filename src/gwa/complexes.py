@@ -353,10 +353,10 @@ def _block_tables(spec: GWASpec) -> dict:
 
 
 def _block_table(spec: GWASpec, variant: str, spots_of, p: int):
-    """(domain copies, codomain copies, blocks) of the differential out of
-    degree p, for every twist and bound: `blocks` maps (copy_dom, copy_cod,
-    c, weight) to the coefficients of g in the block p |-> w^weight g(h)
-    p(h - c).  Built once per key, for the last algebra only."""
+    """(domain copies, codomain copies, blocks, over_z) of the differential
+    out of degree p, for every twist and bound: `blocks` maps (copy_dom,
+    copy_cod, c, weight) to g's coefficients in p |-> w^weight g(h) p(h - c),
+    all ints if `over_z`.  Built once per key, for the last algebra only."""
     tables = _block_tables(spec)
     key = (variant, spots_of, p)
     if key not in tables:
@@ -422,32 +422,29 @@ def _build_block_table(spec: GWASpec, variant: str, spots_of, p: int):
     h0 = exact(spec.sigma.h0)
     blocks = {(copy_dom, copy_cod, shift * h0, weight): g_poly.coeffs
               for (copy_dom, copy_cod, shift, weight), g_poly in sums.items() if g_poly}
-    if h0 == 1 and all(type(c) is int for c in spec.a.coeffs) and any(
-            type(v) is not int for g in blocks.values() for v in g):
+    over_z = {type(v) for (*_, c, _), g in blocks.items() for v in (c, *g)} <= {int}
+    if h0 == 1 and all(type(c) is int for c in spec.a.coeffs) and not over_z:
         raise InternalConsistencyError(
             f"the block table of the integral spec {spec} is not over Z")
-    return dom_copies, cod_copies, blocks
+    return dom_copies, cod_copies, blocks, over_z
 
 
 def _fill(table, kind: ComplexKind, b_dom: int, b_cod: int) -> TruncatedMap:
     """The map of the block table `table` under the twist of `kind`,
     truncated at domain and codomain degree bounds (b_dom, b_cod).
 
-    On the integral normal form with w a unit (-1 or a root of unity, as on
-    every CLI run), each w^k is a ring element (`_units`) and the cells are
-    written as ring elements: no `Cyclotomic` or `Fraction` is built.
-    Otherwise (w = 2 or 1/2, or off the normal form) the blocks fill field
-    scalars, which the public `TruncatedMap` clears by one lcm.
+    On a table over Z (the normal form's) with w a unit (-1 or a root of
+    unity, as on every CLI run), each w^k is a ring element (`_units`) and
+    the cells are written as ring elements: no `Cyclotomic` or `Fraction`
+    is built.  Otherwise (w = 2 or 1/2, or off the normal form) the blocks
+    fill field scalars, which the public `TruncatedMap` clears by one lcm.
     """
-    dom_copies, cod_copies, blocks = table
-    order, twist = kind.field_order, kind.twist
-    ring = _ring(order)
+    dom_copies, cod_copies, blocks, over_z = table
+    order, twist, ring = kind.field_order, kind.twist, _ring(kind.field_order)
     dom_space = TruncatedSpace(order, dom_copies, b_dom)
     cod_space = TruncatedSpace(order, cod_copies, b_cod)
     units = dict.fromkeys((-1, 0, 1), ring.one) if twist is None else _units(ring, twist.w)
-    integral = units is not None and all(
-        weight in units and type(c) is int and all(type(v) is int for v in g)
-        for (_, _, c, weight), g in blocks.items())
+    integral = over_z and units is not None and all(weight in units for *_, weight in blocks)
     rows = [[ring.zero if integral else 0] * dom_space.dim for _ in range(cod_space.dim)]
     for (copy_dom, copy_cod, c, weight), g_coeffs in blocks.items():
         if not integral and twist is not None:

@@ -16,9 +16,9 @@ oracle's normal form).  Ranks, pivot columns and zero products are the
 map's, so `TruncatedMap.rank`, the N_top rank of `homology_dim_at` and the
 exact d o d = 0 test (`compose_is_zero`, with the ring's `axpy`; see
 `gwa.complexes._check_d_squared` for the bound it runs at) take the rows
-as they are.  Only `rank_rows`, `kernel_raw` and the public `TruncatedMap`
-constructor take field scalars, which the ring's `scale` turns into ring
-elements.
+as they are.  The ring's `scale` turns field scalars into ring elements
+for the public `TruncatedMap` constructor, and for `rank_rows` and
+`kernel_raw`, which take rows of ring elements as they are too.
 
 A map's rank is the number of its pivot columns, found by one elimination
 and kept (`TruncatedMap.rank`).  Every elimination picks pivots column by
@@ -78,8 +78,7 @@ class TruncatedMap:
     multiplied by.  The constructor converts rows of field scalars by the
     ring's `scale`; `_of` takes ring elements.  A map cut by `truncate`
     remembers the map it was cut from, whose one elimination gives the
-    ranks of all its slices (`rank`).
-    """
+    ranks of all its slices (`rank`)."""
 
     __slots__ = ("domain", "codomain", "rows", "_den", "_source", "_pivots")
 
@@ -184,13 +183,16 @@ def _echelon(rows, ncols, ring):
 
 
 def _eliminate(rows, ncols, field_order):
-    """`_echelon` of rows of field scalars, each scaled by the ring's `scale`."""
+    """`_echelon` of rows of ring elements (ints over Z, tuples otherwise),
+    taken as they are, or of field scalars, scaled by the ring's `scale`."""
     ring = _ring(field_order)
-    return _echelon([ring.scale(row)[1] for row in rows], ncols, ring)
+    cells = {int if ring.degree == 1 else tuple}
+    return _echelon([row if set(map(type, row)) <= cells else ring.scale(row)[1]
+                     for row in rows], ncols, ring)
 
 
 def rank_rows(rows, ncols, field_order=None) -> int:
-    """Rank of a matrix given as rows of exact scalars."""
+    """Rank of a matrix given as rows of exact scalars or of ring elements."""
     return _eliminate(rows, ncols, field_order)[0]
 
 
@@ -327,7 +329,7 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
 
     The ranks of dp and N are `TruncatedMap.rank`: for slices of assembled
     maps, pivot counts of the assembled map's one elimination.  N_top is
-    not a column prefix of anything eliminated, so it is ranked afresh.
+    not a column prefix of anything eliminated; `rank_rows` ranks it afresh.
     """
     if dp.domain.copies != dnext.codomain.copies:
         raise InputError("homology spaces disagree on the number of k[h] copies")
@@ -335,7 +337,7 @@ def homology_dim_at(dp: TruncatedMap, dnext: TruncatedMap) -> int:
         raise InputError("kernel space must embed in the boundary codomain")
     low = dp.domain.dim
     return (low - dp.rank() - dnext.rank()
-            + _echelon(dnext.rows[low:], dnext.domain.dim, _ring(dnext.field_order))[0])
+            + rank_rows(dnext.rows[low:], dnext.domain.dim, dnext.field_order))
 
 
 def compose_is_zero(outer: TruncatedMap, inner: TruncatedMap) -> bool:

@@ -245,14 +245,14 @@ def _faulted_block_runs(monkeypatch, spec, kind, p_max, fault):
         real_fill(rows, dom, cod, copy_dom, copy_cod, g_coeffs, c, s)
 
     def table(spec, variant, spots_of, p):
-        dom_copies, cod_copies, blocks = real_table(spec, variant, spots_of, p)
+        dom_copies, cod_copies, blocks, over_z = real_table(spec, variant, spots_of, p)
         target = state["target"]
         if fault == "entry" and target is not None and target[0] == p:
             blocks = dict(blocks)
             key = list(blocks)[target[1]]
             g = blocks[key]
             blocks[key] = (g[0] + 1,) + g[1:]
-        return dom_copies, cod_copies, blocks
+        return dom_copies, cod_copies, blocks, over_z
 
     def certified(dp, dnext):
         raise _Certified
@@ -422,7 +422,8 @@ def test_block_tables_of_the_normal_form_are_built_over_z(suite):
         _clear_table_caches()
         assert _fractions_built(lambda: [cx._block_table(normal, *key) for key in TABLE_KEYS]) == 0
         for key in TABLE_KEYS:
-            _, _, blocks = cx._block_table(normal, *key)
+            _, _, blocks, over_z = cx._block_table(normal, *key)
+            assert over_z
             assert all(type(c) is int and all(type(v) is int for v in g)
                        for (_, _, c, _), g in blocks.items()), (spec.a, key)
     # The probe sees a construction where there is one.

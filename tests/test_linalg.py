@@ -426,6 +426,37 @@ def test_an_entry_of_another_field_is_an_input_error(order):
         _as_map(rows, 2, order)
 
 
+@pytest.mark.parametrize("order", [None, 3, 5], ids=["Q", "zeta3", "zeta5"])
+def test_rank_rows_takes_a_maps_cells_as_they_are(monkeypatch, order):
+    """`rank_rows` and `kernel_raw` read rows of ring elements, a map's
+    cells, as they are (a rank of them calls no `scale`), and give the rank
+    and null space of the field rows the cells stand for; rows of field
+    scalars are scaled."""
+    rng = random.Random(23)
+    calls = []
+    real = CyclotomicIntegers.scale
+
+    def scale(ring, values):
+        calls.append(len(values))
+        return real(ring, values)
+
+    monkeypatch.setattr(CyclotomicIntegers, "scale", scale)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _mixed_rows(rng, order, nr, nc, other_orders=(order or 4,))
+        cells = _as_map(rows, nc, order).rows
+        calls.clear()
+        rank = rank_rows(cells, nc, order)
+        assert calls == []
+        basis = kernel_raw(cells, nc, order)
+        assert len(basis) == nc - rank
+        assert rank == rank_rows(rows, nc, order)
+        assert basis == kernel_raw(rows, nc, order)
+    calls.clear()
+    rank_rows([[Fraction(1, 2), 1]], 2, order)
+    assert calls == [2]
+
+
 def _zero_product_pair(rng, order, nr, nc):
     """outer (nr x nc) and inner with outer o inner = 0: inner's columns
     are kernel vectors of outer, rescaled and re-represented at random."""
@@ -619,8 +650,9 @@ def test_echelon_int_matches_reference(suite):
 
 def test_eliminations_look_the_kernels_up_at_call_time(monkeypatch):
     """Spies set on the kernel module after the field backends are in use
-    see every Bareiss call of `rank_rows` and `homology_dim_at`; a
-    reference kept from before the patch would bypass them.  The entries
+    see every Bareiss call of `rank_rows` and `homology_dim_at`, and a spy
+    on `rank_rows` sees the N_top rank; a reference kept from before the
+    patch would bypass them.  The entries
     `echelon_int` and `echelon_quad` call `echelon_cyclo` through
     the module, so the spy on that name sees every rank, over Q too."""
     spec = GWASpec(H ** 2 - 1, S1)
@@ -643,13 +675,26 @@ def test_eliminations_look_the_kernels_up_at_call_time(monkeypatch):
     assert rank_rows([[zeta(3), 1], [zeta(3) ** 2, zeta(3)]], 2, 3) == 1
     assert rank_rows([[zeta(5), 1], [zeta(5) ** 2, zeta(5)]], 2, 5) == 1
     assert calls == [call for name in kinds for call in chains[name]]
+    # The N_top rank is a `rank_rows`, looked up at call time too, so a
+    # wrapper on that name times the quartic sweep, which no kernel name
+    # other than `echelon_cyclo` sees.
+    ranked = []
+    real_rank_rows = gwa.linalg.rank_rows
+
+    def rank_spy(rows, ncols, order):
+        ranked.append(order)
+        return real_rank_rows(rows, ncols, order)
+
+    monkeypatch.setattr(gwa.linalg, "rank_rows", rank_spy)
     for name, kind in kinds.items():
         m = spec.n + 1
         dp = assemble_total_matrix(spec, kind, 1, 2, 2 + m)
         dnext = assemble_total_matrix(spec, kind, 2, 2 + m, 2 + 2 * m)
         calls.clear()
+        ranked.clear()
         homology_dim_at(dp, dnext)
         assert calls == chains[name] * 3
+        assert ranked == [kind.field_order]
 
 
 def _quad_mul_reference(a0, a1, b0, b1, b, c):
