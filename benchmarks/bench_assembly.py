@@ -11,7 +11,7 @@ the names the oracle looks up at each call; where the tree has them, also
 `gwa.complexes._block_table` (with a timer) and `_build_block_table` (to
 count the builds).  A pass is one `oracle_dims` call per variant
 (homology, then cohomology) with p_max 4 on a = h^5-2h^4+h^3, h0 = 1, which
-stabilizes at D = 24.  Each pass starts with the caches of
+stabilizes at D = 16.  Each pass starts with the caches of
 `gwa.complexes` and `gwa.algebra` emptied, as a new `gwa` process starts
 a job.  It runs for each field named by `--fields` (default: all): Q (no
 twist) and the torus twists w = -1, zeta3, zeta4, zeta5 and zeta8.  For
@@ -66,6 +66,15 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
+def clear_caches(gwa) -> None:
+    """Empty the caches of `gwa.complexes` and `gwa.algebra`, as a new `gwa`
+    process starts a job."""
+    for module in (gwa.complexes, gwa.algebra):
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def one_pass(gwa, order: int | None, gauge: calibrate.Gauge) -> dict:
     """The times (in reference seconds) and counts of one pass: `assembly`,
     `table` (None without a block table), `dod` (one replay of the pass's
@@ -74,10 +83,7 @@ def one_pass(gwa, order: int | None, gauge: calibrate.Gauge) -> dict:
     from fractions import Fraction
 
     complexes = gwa.complexes
-    for module in (gwa.complexes, gwa.algebra):
-        for value in list(vars(module).values()):
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    clear_caches(gwa)
     spec = gwa.algebra.GWASpec(gwa.poly.parse_poly(A), gwa.poly.ShiftSigma(1))
     twist = None if order is None else gwa.algebra.Torus(
         Fraction(-1) if order == 2 else gwa.scalars.zeta(order))

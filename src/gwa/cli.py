@@ -112,12 +112,14 @@ class RunReport:
 
 
 def _schedule_for(n: int, args) -> Schedule:
+    """The oracle's schedule.  Bounds given as flags are checked on every
+    run, the default start (it grows with n) only when the oracle runs."""
     default = Schedule.default(n, args.d_max)
     d_max = default.d_max
     start = default.start if args.d_start is None else args.d_start
     if start < 0 or d_max < 0:
         raise InputError(f"truncation bounds must be nonnegative (start {start}, cap {d_max})")
-    if start > d_max:
+    if start > d_max and not (args.formula_only and args.d_start is None):
         raise InputError(f"schedule start {start} exceeds the truncation cap {d_max}")
     window = 3 if args.paranoid else 2
     return Schedule(start=start, window=window, d_max=d_max)
@@ -314,7 +316,8 @@ def _add_input(parser) -> None:
 
 
 def _add_schedule(parser) -> None:
-    parser.add_argument("--d-start", type=int, default=None, help="truncation schedule start")
+    parser.add_argument("--d-start", type=int, default=None,
+                        help="truncation schedule start (default max(n + 1, 12), n = deg a)")
     parser.add_argument("--d-max", type=int, default=None, help="truncation cap (default 240)")
     parser.add_argument("--paranoid", action="store_true",
                         help="require three equal consecutive values to stabilize")

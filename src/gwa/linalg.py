@@ -253,7 +253,11 @@ class Schedule:
 
     @classmethod
     def default(cls, n: int, d_max: int | None = None) -> "Schedule":
-        return cls(start=max(4 * n, 12), d_max=d_max if d_max is not None else 240)
+        """Start at max(n + 1, 12), n = deg a: the classes live in degrees
+        below n, and the value at D is taken only once D + 4 confirms it.
+        The floor of 12 stays until a dense window (ROADMAP item 4) can
+        replace it."""
+        return cls(start=max(n + 1, 12), d_max=d_max if d_max is not None else 240)
 
     def lookahead(self, d: int) -> int:
         """The D evaluated after d, or d itself when the cap stops there."""

@@ -258,6 +258,34 @@ def test_bad_schedule_is_an_input_error_without_the_oracle(capsys, argv):
     assert "truncation bounds" in record["error"] and "report" not in record
 
 
+def test_formula_only_never_checks_the_default_start(capsys):
+    """A formula-only run reads no schedule, so a default start past the
+    cap (n = 240 starts at 241) is no error; the oracle's run still is, and
+    so is a start past the cap given as a flag."""
+    argv = ["hh", "--a", "h^240-1", "--p-max", "2"]
+    code, out, err = run_main(capsys, [*argv, "--formula-only"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "[239 0 1]" in out
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err == "error: schedule start 241 exceeds the truncation cap 240\n"
+    code, out, err = run_main(capsys, [*argv, "--formula-only", "--d-start", "250"])
+    assert (code, out) == (EXIT_INVALID_INPUT, "")
+    assert err == "error: schedule start 250 exceeds the truncation cap 240\n"
+
+
+def test_d_start_overrides_the_default_start():
+    """An n = 5 verify job starts at 12 and stabilizes at 16, or where
+    --d-start puts it."""
+    argv = ["verify", "--a", "h^5-h", "--kind", "homology", "--p-max", "1"]
+    assert run_job(argv)["stabilization"] == {
+        "history": [[[12, 4], [16, 4]], [[12, 0], [16, 0]]], "stabilized_at": 16}
+    report = run_job([*argv, "--d-start", "7"])
+    assert report["stabilization"] == {
+        "history": [[[7, 4], [11, 4]], [[7, 0], [11, 0]]], "stabilized_at": 11}
+    assert report["agreement"] is True
+
+
 def test_console_entry_point_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")

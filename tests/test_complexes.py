@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from gwa.complexes import (
 )
 from gwa.errors import HypothesisError, InputError, InternalConsistencyError
 from gwa.formulas import coh_dims, hh_dims, twisted_dims
+from gwa.invariants import h0_bruteforce, twisted_h0_bruteforce
 from gwa.linalg import (
     Schedule,
     TruncatedMap,
@@ -32,7 +34,7 @@ from gwa.linalg import (
     compose_is_zero,
     rank_rows,
 )
-from gwa.poly import Poly, ShiftSigma, gcd_monic, sigma_pow
+from gwa.poly import Poly, ShiftSigma, degree_invariants, gcd_monic, sigma_pow
 from gwa.scalars import Cyclotomic, zeta
 
 H = Poly.gen()
@@ -738,6 +740,74 @@ def test_oracle_matches_twisted_formulas_beyond_degree_two(suite, order):
             if spec.n <= 3:
                 want = twisted_dims(spec.a, spec.sigma, variant, 2).dims
                 assert dims(oracle_dims(spec, kind, 2)) == want, (str(spec), variant)
+
+
+def _random_integer_specs(seed: int) -> list[GWASpec]:
+    """One GWA per n = 4..12: a = c * prod (h - r_i) with integer
+    coefficients, each root drawn as a repeat of an earlier one, a root
+    spaced from a base root by a multiple of the shift step, or an integer
+    in [-4, 4]; h0 runs through 1, 1/2, 2 and -1."""
+    rng = random.Random(seed)
+    steps = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(-1)]
+    out = []
+    for n in range(4, 13):
+        h0, base = steps[n % 4], rng.randint(-3, 3)
+        roots = []
+        while len(roots) < n:
+            kind = rng.choice(["repeat", "spaced", "free"])
+            if kind == "repeat" and roots:
+                roots.append(rng.choice(roots))
+            elif kind == "spaced":
+                roots.append(base + rng.randint(-2, 2) * h0)
+            else:
+                roots.append(Fraction(rng.randint(-4, 4)))
+        a = Poly([rng.choice([1, 2, -3])])
+        for r in roots:
+            a = a * Poly([-r.numerator, r.denominator])
+        out.append(GWASpec(a, ShiftSigma(h0)))
+    return out
+
+
+def _old_start(n: int) -> Schedule:
+    """The default schedule before its start came down to max(n + 1, 12)."""
+    return Schedule(start=max(4 * n, 12))
+
+
+def test_the_default_start_changes_no_oracle_value():
+    """For n = 4..12, over Q and under the twists -1 and zeta3, the oracle's
+    vector at the default start equals the formulas and its vector at the
+    old start max(4n, 12).  The draw covers repeated roots (d > 0) and roots
+    spaced by the shift (a and sigma(a) not coprime)."""
+    specs = _random_integer_specs(25)
+    assert any(degree_invariants(s.a, s.sigma)[1] > 0 for s in specs)
+    assert any(gcd_monic(s.a, sigma_pow(s.a, 1, s.sigma)).degree > 0 for s in specs)
+    for i, spec in enumerate(specs):
+        w = (None, Fraction(-1), zeta(3))[i % 3]
+        variant = ("homology", "cohomology")[i // 3 % 2]
+        p_max = 1 if variant == "homology" else 2  # cohomology's n sits in degree 2
+        kind = ComplexKind(variant, None if w is None else Torus(w))
+        if w is None:
+            want = (hh_dims if variant == "homology" else coh_dims)(spec.a, spec.sigma, p_max).dims
+        else:
+            want = twisted_dims(spec.a, spec.sigma, variant, p_max).dims
+        new = oracle_dims(spec, kind, p_max)
+        assert new[0].history[0][0] == max(spec.n + 1, 12)
+        assert dims(new) == want, (str(spec), variant, w)
+        assert dims(oracle_dims(spec, kind, p_max, _old_start(spec.n))) == want, (str(spec), w)
+
+
+def test_the_default_start_changes_no_brute_force_value():
+    """`center_dim`, `h0_bruteforce` and `twisted_h0_bruteforce` (w = -1 and
+    zeta3) give 1, n - 1 and n at the default start and at the old one."""
+    for spec in _random_integer_specs(26):
+        # Over Q(zeta3) the old start costs seconds from n = 6 on.
+        w = zeta(3) if spec.n < 6 else Fraction(-1)
+        checks = [(center_dim, 1), (h0_bruteforce, spec.n - 1),
+                  (lambda s, schedule=None: twisted_h0_bruteforce(s, w, schedule), spec.n)]
+        for run, want in checks:
+            new = run(spec)
+            assert new.history[0][0] == max(spec.n + 1, 12)
+            assert int(new) == int(run(spec, _old_start(spec.n))) == want, (str(spec), run)
 
 
 def test_oracle_examples():

@@ -261,6 +261,13 @@ def test_stabilize_gives_up():
         stabilize(lambda d: d, Schedule(start=12, d_max=40))
 
 
+def test_default_schedule_starts_past_n_with_a_floor_of_12():
+    starts = {n: Schedule.default(n).start for n in (1, 3, 4, 11, 12, 20)}
+    assert starts == {1: 12, 3: 12, 4: 12, 11: 12, 12: 13, 20: 21}
+    assert (Schedule.default(5).step, Schedule.default(5).window) == (4, 2)
+    assert Schedule.default(5).d_max == 240 and Schedule.default(5, 30).d_max == 30
+
+
 def test_stabilized_dim_records_schedule():
     spec = GWASpec(H ** 2 - 1, S1)
     out = h0_bruteforce(spec, Schedule(start=12))
